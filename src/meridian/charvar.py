@@ -314,14 +314,16 @@ class RankOneVariety:
         return RankOneStratum(k, False, {}, UniPoly([1]), self.betti >= k)
 
 
-def charvar_rank_one(pres: Presentation, cyclotomic_bound: int = 200,
+def charvar_rank_one(pres: Presentation,
                      max_depth: int | None = None) -> RankOneVariety:
     """Characteristic varieties when the abelianization is Z.
 
     V_k away from 1 is cut out by the (g-k)-minors of the Fox matrix in the
-    single variable t; their gcd is factored into cyclotomic polynomials plus
-    a residual.  Membership of the trivial character follows the Betti rule:
-    1 lies in V_k exactly when the first Betti number is at least k.
+    single variable t; their gcd is split over Z[t] into all of its
+    cyclotomic factors Phi_N, whatever N, plus a residual with no root of
+    unity among its roots.  Membership of the trivial character follows the
+    Betti rule: 1 lies in V_k exactly when the first Betti number is at
+    least k.
     """
     group = abelianization(pres)
     if group.rank != 1 or group.torsion:
@@ -349,7 +351,7 @@ def charvar_rank_one(pres: Presentation, cyclotomic_bound: int = 200,
         if acc.is_zero():
             strata.append(RankOneStratum(k, True, {}, UniPoly(), includes_one))
             continue
-        factors, residual = cyclotomic_factors(acc, cyclotomic_bound)
+        factors, residual = cyclotomic_factors(acc)
         factors.pop(1, None)    # t - 1: the Betti rule governs 1
         stratum = RankOneStratum(k, False, factors, residual.primitive_int(),
                                  includes_one)

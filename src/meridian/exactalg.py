@@ -1,8 +1,10 @@
 """Exact arithmetic: rational polynomials, cyclotomic fields, ranks, resultants.
 
-Everything here is built on ``fractions.Fraction``; no floating point enters
-any computation.  Cyclotomic numbers live in Q[x]/Phi_N(x) and polynomials are
-dense coefficient lists with trailing zeros stripped.
+Polynomials over Q are built on ``fractions.Fraction``; cyclotomic polynomials
+Phi_N and the extraction of cyclotomic factors work over the integers.  No
+floating point enters any computation.  Cyclotomic numbers live in
+Q[x]/Phi_N(x) and polynomials are dense coefficient lists with trailing zeros
+stripped.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 
 class UniPoly:
@@ -198,26 +200,79 @@ def poly_xgcd(a: UniPoly, b: UniPoly):
     return r0.monic(), s0 * inv, t0 * inv
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> UniPoly:
-    """The N-th cyclotomic polynomial, computed by exact division.
-
-    x^N - 1 factors as the product of Phi_d over divisors d of N, so Phi_N is
-    x^N - 1 divided by the proper-divisor cyclotomics.
-    """
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    num = UniPoly.monomial(n) - UniPoly([1])
-    for d in range(1, n):
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= n:
         if n % d == 0:
-            q, r = num.divmod(cyclotomic_polynomial(d))
-            assert r.is_zero()
-            num = q
-    return num
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _mobius_divisors(n: int) -> tuple[int, list[tuple[int, bool]]]:
+    """rad(n), and (d, whether mu(rad(n)/d) = 1) for each divisor d of it."""
+    primes = _prime_divisors(n)
+    rad = prod(primes)
+    divisors = []
+    for chosen in range(1 << len(primes)):
+        e = prod(p for i, p in enumerate(primes) if chosen >> i & 1)
+        divisors.append((rad // e, bin(chosen).count("1") % 2 == 0))
+    return rad, divisors
 
 
 def euler_phi(n: int) -> int:
-    return cyclotomic_polynomial(n).degree
+    """Euler's totient, n * prod(1 - 1/p) over the primes p dividing n."""
+    primes = _prime_divisors(n)
+    return n // prod(primes) * prod(p - 1 for p in primes)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> UniPoly:
+    """The N-th cyclotomic polynomial, built from integer coefficients.
+
+    With r = rad(N) > 1 the product of the primes dividing N, Phi_r is the
+    product of (1 - x^d)^mu(r/d) over the divisors d of r.  That product is
+    expanded as a power series cut after degree phi(r): multiplying by
+    1 - x^d, or dividing by it, is one pass over the coefficients.  Then
+    Phi_N(x) = Phi_r(x^(N/r)).
+    """
+    if n < 1:
+        raise ValueError("cyclotomic index must be positive")
+    if n == 1:
+        return UniPoly([-1, 1])
+    rad, divisors = _mobius_divisors(n)
+    size = euler_phi(rad) + 1
+    series = [1] + [0] * (size - 1)
+    for d, mu_is_one in divisors:
+        if mu_is_one:                           # times (1 - x^d)
+            for i in range(size - 1, d - 1, -1):
+                series[i] -= series[i - d]
+        else:                                   # over (1 - x^d)
+            for i in range(d, size):
+                series[i] += series[i - d]
+    stride = n // rad
+    coeffs = [0] * ((size - 1) * stride + 1)
+    coeffs[::stride] = series
+    return UniPoly(coeffs)
+
+
+def _cyclotomic_at_two(n: int) -> int:
+    """Phi_N(2), the product of (2^(d N/r) - 1)^mu(r/d) over d | r = rad(N)."""
+    rad, divisors = _mobius_divisors(n)
+    stride = n // rad
+    num = den = 1
+    for d, mu_is_one in divisors:
+        if mu_is_one:
+            num *= (1 << d * stride) - 1
+        else:
+            den *= (1 << d * stride) - 1
+    return num // den
 
 
 class CycloNumber:
@@ -436,23 +491,78 @@ def discriminant_y(f: BiPoly) -> UniPoly:
     return resultant_y(f, f.derivative_y())
 
 
-def cyclotomic_factors(p: UniPoly, bound: int = 200):
-    """Split p into cyclotomic factors Phi_N (N <= bound) and a residual.
+def _phi_at_most(max_degree: int) -> list[tuple[int, int]]:
+    """Every (N, phi(N)) with phi(N) <= max_degree, in increasing N.
+
+    phi is multiplicative and phi(p^k) = p^(k-1) (p - 1) >= p - 1, so each
+    such N is a product of powers of distinct primes p <= max_degree + 1.
+    The products are grown depth first, one prime at a time in increasing
+    order, and a branch stops as soon as phi would pass max_degree.
+    """
+    primes = [p for p in range(2, max_degree + 2) if _prime_divisors(p) == [p]]
+    found: list[tuple[int, int]] = []
+
+    def grow(n: int, phi: int, first: int) -> None:
+        found.append((n, phi))
+        for i in range(first, len(primes)):
+            p = primes[i]
+            if phi * (p - 1) > max_degree:
+                break
+            power, phi_power = p, p - 1
+            while phi * phi_power <= max_degree:
+                grow(n * power, phi * phi_power, i + 1)
+                power, phi_power = power * p, phi_power * p
+
+    if max_degree >= 1:
+        grow(1, 1, 0)
+    return sorted(found)
+
+
+def _exact_quotient(a: list[int], b: list[tuple[int, int]],
+                    degree: int) -> list[int] | None:
+    """a / b in Z[t] for a monic b of the given degree, or None if b does not
+    divide a.  b is given as its nonzero (exponent, coefficient) pairs below
+    the leading term."""
+    rem = list(a)
+    quotient = [0] * (len(rem) - degree)
+    for i in range(len(rem) - 1, degree - 1, -1):
+        c = rem[i]
+        if c:
+            base = i - degree
+            quotient[base] = c
+            for j, bj in b:
+                rem[base + j] -= c * bj
+    return None if any(rem[:degree]) else quotient
+
+
+def cyclotomic_factors(p: UniPoly):
+    """Split p into cyclotomic factors Phi_N and a monic residual.
 
     Returns (factors, residual) where factors maps N to its multiplicity.
-    Trial division in increasing N keeps the outcome deterministic.
+    Phi_N has degree phi(N), so the candidates are exactly the N with
+    phi(N) <= deg p, trial-divided in increasing N, which keeps the outcome
+    deterministic.  Phi_N is monic with integer coefficients, so by Gauss's
+    lemma it divides p in Q[t] exactly when it divides the primitive integer
+    multiple of p in Z[t]; every division is exact integer arithmetic.  A
+    candidate is divided only if Phi_N(2) divides the value at 2 of what is
+    left, which it must if Phi_N is a factor.
     """
     factors: dict[int, int] = {}
-    rem = p.monic()
-    for n in range(1, bound + 1):
-        phi = cyclotomic_polynomial(n)
-        if phi.degree > rem.degree:
+    rem = [int(c) for c in p.primitive_int().coeffs]
+    rem_at_two = sum(c << i for i, c in enumerate(rem))
+    for n, degree in _phi_at_most(len(rem) - 1):
+        if degree >= len(rem):
             continue
-        while True:
-            q, r = rem.divmod(phi)
-            if r.is_zero():
-                factors[n] = factors.get(n, 0) + 1
-                rem = q
-            else:
+        phi_at_two = _cyclotomic_at_two(n)
+        if rem_at_two % phi_at_two:
+            continue        # Phi_N | rem would make Phi_N(2) divide rem(2)
+        lower = cyclotomic_polynomial(n).coeffs[:-1]
+        terms = [(j, c.numerator) for j, c in enumerate(lower) if c]
+        while degree < len(rem):
+            quotient = _exact_quotient(rem, terms, degree)
+            if quotient is None:
                 break
-    return factors, rem
+            factors[n] = factors.get(n, 0) + 1
+            rem = quotient
+            rem_at_two //= phi_at_two
+    return factors, UniPoly(rem).monic()

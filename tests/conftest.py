@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from meridian.cli import preset_text
 from meridian.fpgroups import Presentation, parse_presentation, reduce_word
@@ -27,3 +28,10 @@ def presets():
              "p1-2-5-10", "p1-2-2-5-5", "c-2-3", "free2", "genus2")
     return {name: parse_presentation(preset_text(name, ".grp"))
             for name in names}
+
+
+# Property tests draw the same examples on every run and never time out on a
+# slow machine, so the suite's verdict does not change from run to run.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")

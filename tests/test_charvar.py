@@ -201,6 +201,16 @@ class TestRankOne:
                 member = v.stratum(1).contains_primitive(order)
                 assert (twisted_h1_dim(pres, chi) >= 1) == member
 
+    def test_cross_oracle_past_order_200(self):
+        # T(11,19): V1 away from 1 is the primitive 209th roots of unity
+        pres = parse_presentation("gens x y; rel x^11 = y^19;")
+        v = charvar_rank_one(pres)
+        for order in (1, 11, 19, 209):
+            chi = Character(209, (209 // order,))
+            member = v.stratum(1).contains_primitive(order)
+            assert (twisted_h1_dim(pres, chi) >= 1) == member
+        assert v.stratum(1).contains_primitive(209)
+
     def test_tietze_invariance(self, presets):
         pres = presets["degtyarev-affine"]
         simplified = tietze_simplify(pres).presentation

@@ -107,6 +107,42 @@ class TestExitCodes:
         assert "(2,2,3) order 6: survives" in out.stdout
 
 
+
+def torus_knot_orders(p, q):
+    """N with mu_N-primitive roots in V1 of the torus knot T(p, q), p and q
+    coprime: the roots of its Alexander polynomial
+    (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))."""
+    return {n for n in range(2, p * q + 1)
+            if p * q % n == 0 and p % n and q % n}
+
+
+class TestTorusKnotsBeyondOrder200:
+    """Torus knots T(p, q) with pq > 200, whose V1 is mu_pq-primitive and
+    more; a cap on N once left those roots in an unfactored residual."""
+
+    def write_knot(self, tmp_path, p, q):
+        path = tmp_path / f"torus-{p}-{q}.grp"
+        path.write_text(f"gens x y;\nrel x^{p} = y^{q};\n")
+        return str(path)
+
+    def test_t_11_19_text(self, tmp_path):
+        out = run("charvar", self.write_knot(tmp_path, 11, 19))
+        assert out.returncode == 0
+        lines = out.stdout.splitlines()
+        assert "V1 = {1} u mu209-primitive" in lines
+        assert "V2 = {}" in lines
+
+    @pytest.mark.parametrize("p,q", [(7, 31), (13, 17), (11, 23)])
+    def test_json_strata_match_closed_form(self, tmp_path, p, q):
+        out = run("--json", "charvar", self.write_knot(tmp_path, p, q))
+        assert out.returncode == 0
+        strata = json.loads(out.stdout)["strata"]
+        assert strata["1"]["cyclotomic"] == {
+            str(n): 1 for n in torus_knot_orders(p, q)}
+        assert strata["1"]["residual"] == "1"
+        assert strata["2"]["cyclotomic"] == {}
+        assert strata["2"]["residual"] == "1"
+
 class TestDeterminismAndJson:
     @pytest.mark.parametrize("args", [
         ("pipeline", "--preset", "degtyarev"),

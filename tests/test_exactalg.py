@@ -195,7 +195,7 @@ class TestPolyUtilities:
     def test_cyclotomic_factor_extraction(self):
         p = cyclotomic_polynomial(10) ** 2 * cyclotomic_polynomial(1) \
             * UniPoly([1, 0, 0, 1])
-        factors, residual = cyclotomic_factors(p, bound=20)
+        factors, residual = cyclotomic_factors(p)
         # x^3 + 1 = Phi_2 * Phi_6, so everything cyclotomic is pulled out
         assert factors == {1: 1, 2: 1, 6: 1, 10: 2}
         assert residual == UniPoly([1])
