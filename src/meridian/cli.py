@@ -16,7 +16,7 @@ from importlib import resources
 from . import braids, cosets, curves, orbifold
 from .abelian import AbelianGroup, abelianization
 from .charvar import CharVarError, charvar_finite_torus, charvar_rank_one
-from .cosets import CosetOverflow, InvalidSubgroup, SubgroupSpec
+from .cosets import CosetOverflow, InvalidSubgroup, SearchCapExceeded, SubgroupSpec
 from .fpgroups import ParseError, Presentation, parse_presentation, print_presentation, tietze_simplify
 from .nilpotent import lcs_quotients
 
@@ -241,11 +241,18 @@ def cmd_center(args) -> int:
 
 
 def cmd_subgroup(args) -> int:
+    if args.tietze_budget < 0:
+        raise SystemExit2("--tietze-budget must be at least 0")
     pres = load_presentation(args)
     spec = parse_subgroup_spec(args.spec, pres)
     table = cosets.todd_coxeter(pres, spec, default_max_cosets(args))
-    sub = cosets.reidemeister_schreier(pres, table,
-                                       tietze_budget=args.tietze_budget)
+    result = cosets.reidemeister_schreier(pres, table,
+                                          tietze_budget=args.tietze_budget)
+    if not result.completed:
+        print(f"note: Tietze simplification stopped at --tietze-budget"
+              f" {args.tietze_budget} after {result.steps} moves; more moves"
+              f" were available", file=sys.stderr)
+    sub = result.presentation
     ab = abelianization(sub)
     emit(args, [f"index {table.index}",
                 print_presentation(sub).rstrip("\n"),
@@ -535,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CosetOverflow as exc:
+    except (CosetOverflow, SearchCapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE_LIMIT
     except (SystemExit2, ParseError, InvalidSubgroup, CharVarError,

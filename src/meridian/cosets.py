@@ -25,6 +25,10 @@ class CosetOverflow(RuntimeError):
         self.limit = limit
 
 
+class SearchCapExceeded(RuntimeError):
+    """The epimorphism search space is larger than the cap allows."""
+
+
 class InvalidSubgroup(ValueError):
     """Kernel-mode subgroup data that does not contain all relators."""
 
@@ -587,14 +591,15 @@ def schreier_rewrite(pres: Presentation, table: CosetTable):
 
 
 def reidemeister_schreier(pres: Presentation, table: CosetTable,
-                          tietze_budget: int = 20000) -> Presentation:
+                          tietze_budget: int = 20000) -> fpgroups.TietzeResult:
     """Presentation of the subgroup a complete coset table enumerates.
 
     The rewrite of every conjugate rep(c) r rep(c)^-1 is taken as a relator;
-    the result is then Tietze-simplified within the budget.
+    the result is then Tietze-simplified within the budget.  The returned
+    ``TietzeResult`` says whether simplification finished (``completed``).
     """
     raw, _ = schreier_rewrite(pres, table)
-    return fpgroups.tietze_simplify(raw, budget=tietze_budget).presentation
+    return fpgroups.tietze_simplify(raw, budget=tietze_budget)
 
 
 # --- epimorphism search -----------------------------------------------------------
@@ -604,14 +609,15 @@ def find_epimorphisms(pres: Presentation, mt: MultTable,
                       cap: int = 10 ** 7) -> list[tuple[int, ...]]:
     """All generator assignments defining surjections onto the finite group.
 
-    Exhaustive over size^rank assignments (capped); an assignment survives if
-    every relator evaluates to the identity and the images generate.  Output
-    order is the lexicographic order of assignments, so it does not depend on
-    the relator order.
+    Exhaustive over size^rank assignments; raises SearchCapExceeded when
+    there are more than ``cap`` of them.  An assignment survives if every
+    relator evaluates to the identity and the images generate.  Output order
+    is the lexicographic order of assignments, so it does not depend on the
+    relator order.
     """
     total = mt.size ** pres.rank
     if total > cap:
-        raise ValueError(f"search space {total} exceeds cap {cap}")
+        raise SearchCapExceeded(f"search space {total} exceeds cap {cap}")
     from itertools import product
 
     out = []

@@ -8,6 +8,7 @@ Relators of a presentation are additionally cyclically reduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 Word = tuple[int, ...]
@@ -92,21 +93,27 @@ def generator_span(words) -> int:
     return max((abs(x) for w in words for x in w), default=0)
 
 
-def _cyclic_rotations(w: Word):
-    for i in range(len(w)):
-        yield w[i:] + w[:i]
+def _least_rotation(w: Word) -> Word:
+    """Lexicographically least rotation of a nonempty word.
+
+    Only rotations that start with the least letter can be the minimum, so
+    only those are sliced out of the doubled word.
+    """
+    n = len(w)
+    first = min(w)
+    doubled = w + w
+    return min(doubled[i:i + n] for i in range(n) if w[i] == first)
 
 
 def _relator_key(w: Word) -> Word:
     """Canonical representative of a relator up to rotation and inversion.
 
-    Two relators with the same key have the same normal closure, so one of
-    them is redundant.
+    The least rotation of w or of w^-1.  Two relators with the same key have
+    the same normal closure, so one of them is redundant.
     """
     if not w:
         return ()
-    candidates = list(_cyclic_rotations(w)) + list(_cyclic_rotations(invert(w)))
-    return min(candidates)
+    return min(_least_rotation(w), _least_rotation(invert(w)))
 
 
 @dataclass(frozen=True)
@@ -393,26 +400,122 @@ def _isolated_candidates(relators):
     return [(ri, sign) for _, ri, sign in sorted(out)]
 
 
-def _try_shorten(target: Word, rule: Word) -> Word | None:
-    """Shorten ``target`` using the relation ``rule`` = 1, if possible.
+def _shortening_table(rule: Word):
+    """Factorizations u * v^-1 of the rotations of ``rule`` and of its inverse.
 
-    Scans rotations of the rule and of its inverse for a factorization
-    u * v^-1 with |u| > |v| and u a substring of the target; replacing u by v
-    is multiplication by a conjugate of the rule, hence a Tietze move.
+    Returns ``(|u|, {u: (entry, v)})`` with |u| = |rule| // 2 + 1 > |v|.
+    ``entry`` numbers the rotations of the rule, then those of its inverse;
+    a u that several rotations share keeps its first entry.
     """
     n = len(rule)
-    if n < 2:
-        return None
     half = n // 2 + 1
-    for base in (rule, invert(rule)):
-        for rot in _cyclic_rotations(base):
-            u = rot[:half]
-            v = invert(rot[half:])
-            for i in range(len(target) - len(u) + 1):
-                if target[i:i + len(u)] == u:
-                    cand = multiply(target[:i], v, target[i + len(u):])
-                    if len(cand) < len(target):
-                        return cand
+    table: dict[Word, tuple[int, Word]] = {}
+    for b, base in enumerate((rule, invert(rule))):
+        doubled = base + base
+        for i in range(n):
+            rot = doubled[i:i + n]
+            table.setdefault(rot[:half], (b * n + i, invert(rot[half:])))
+    return half, table
+
+
+def _try_shorten(target: Word, shortening) -> Word | None:
+    """Shorten ``target`` by a rule given as its ``_shortening_table``.
+
+    Takes the first table entry whose u occurs in the target, at its first
+    occurrence, and replaces u by v: multiplication by a conjugate of the
+    rule, hence a Tietze move.  The result is shorter because |v| < |u|.
+    """
+    half, table = shortening
+    best = None
+    for i in range(len(target) - half + 1):
+        hit = table.get(target[i:i + half])
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], i, hit[1])
+    if best is None:
+        return None
+    _, i, v = best
+    return multiply(target[:i], v, target[i + half:])
+
+
+def _eliminate(relators, keys, candidates, limit, take_first, substituted):
+    """Eliminate a generator by one of the isolated ``candidates``.
+
+    Takes the first candidate whose relators, after substitution, reduction
+    and deduplication, total at most ``limit`` (if ``take_first``), or the
+    first of least total.  Only relators that contain the generator are
+    rewritten and re-keyed, through the memo ``substituted``.  Deduplication
+    only drops relators, so a candidate is rejected as soon as its running
+    total passes the limit.  Returns ``(generator, relators, keys)``, the
+    generator renumbered away, or None.
+    """
+    best = None
+    for ri, signed in candidates:
+        rel = relators[ri]
+        g = abs(signed)
+        k = rel.index(signed)
+        rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
+        image = invert(rest) if signed > 0 else rest
+        words, word_keys, seen, total = [], [], set(), 0
+        for j, (r, rk) in enumerate(zip(relators, keys)):
+            if j == ri:
+                continue
+            if g in r or -g in r:
+                hit = substituted.get((r, g, image))
+                if hit is None:
+                    w = cyclic_reduce(_substitute(r, g, image))
+                    hit = substituted[r, g, image] = (w, _relator_key(w))
+                r, rk = hit
+                if not r:
+                    continue
+            if rk in seen:
+                continue
+            seen.add(rk)
+            total += len(r)
+            if total > limit:
+                break
+            words.append(r)
+            word_keys.append(rk)
+        else:
+            best = (g, words, word_keys)
+            if take_first:
+                break
+            limit = total - 1
+    if best is None:
+        return None
+    g, words, word_keys = best
+    # renumbering is monotone on the remaining letters, so it maps keys to keys
+    return (g, [_drop_generator(r, g) for r in words],
+            [_drop_generator(rk, g) for rk in word_keys])
+
+
+def _shorten(relators, keys, tables):
+    """The first shortening of one relator by another, as ``(0, relators, keys)``.
+
+    Rules are tried shortest first, targets in order; ``tables`` memoises
+    their ``_shortening_table``.  The shortened relator is cyclically
+    reduced in place.  It is dropped if it is empty; of two relators with
+    one key, the later is dropped.
+    """
+    for i in sorted(range(len(relators)), key=lambda i: len(relators[i])):
+        rule = relators[i]
+        if len(rule) < 2:
+            continue
+        if rule not in tables:
+            tables[rule] = _shortening_table(rule)
+        for j, target in enumerate(relators):
+            if j == i:
+                continue
+            w = _try_shorten(target, tables[rule])
+            if w is None:
+                continue
+            w = cyclic_reduce(w)
+            relators, keys = relators[:], keys[:]
+            relators[j], keys[j] = w, _relator_key(w)
+            # the other keys are distinct, so w repeats at most one relator
+            copies = [m for m, km in enumerate(keys) if km == keys[j]]
+            if not w or len(copies) > 1:
+                del relators[copies[-1]], keys[copies[-1]]
+            return 0, relators, keys
     return None
 
 
@@ -425,89 +528,37 @@ def tietze_simplify(pres: Presentation, budget: int = 10000) -> TietzeResult:
     another when that shortens them.  Non-growing moves are always preferred;
     only when no move keeps the total relator length from growing is the
     least-growing generator elimination forced, which is what lets rewritten
-    subgroup presentations collapse.  Returns best-so-far with
-    ``completed=False`` once the budget runs out.
+    subgroup presentations collapse.  Returns best-so-far after ``budget``
+    moves, with ``completed=False`` only if a move was still available.
+
+    The bookkeeping is incremental, and the moves, their order and the
+    result are those of re-normalizing every relator after every move.
+    Each relator carries its key (the least rotation of it or of its
+    inverse); a move rewrites and re-keys only the relators it changes.
+    Substituted relators and shortening tables are memoised until the next
+    generator elimination renumbers every word; nothing outlives the call.
     """
     gens = list(pres.generators)
-    relators = list(pres.relators)
+    relators = list(pres.relators)      # reduced and deduplicated already
+    keys = [_relator_key(r) for r in relators]
+    substituted: dict = {}
+    tables: dict = {}
     steps = 0
-
-    def normalized(rels):
-        seen = set()
-        out = []
-        for rel in rels:
-            rel = cyclic_reduce(reduce_word(rel))
-            key = _relator_key(rel)
-            if rel and key not in seen:
-                seen.add(key)
-                out.append(rel)
-        return out
-
-    relators = normalized(relators)
-    while steps < budget:
-        # Generator elimination is attempted first: it is the move that
-        # actually shrinks the presentation.  A candidate is accepted only
-        # when, after the substituted relators are reduced and deduplicated
-        # again, the total relator length has not grown.
-        eliminated = False
-        current_total = sum(len(r) for r in relators)
-        for ri, signed in _isolated_candidates(relators):
-            rel = relators[ri]
-            g = abs(signed)
-            k = rel.index(signed)
-            rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
-            image = invert(rest) if signed > 0 else rest
-            others = relators[:ri] + relators[ri + 1:]
-            candidate = normalized(_substitute(r, g, image) for r in others)
-            if sum(len(r) for r in candidate) > current_total:
-                continue
-            relators = [_drop_generator(r, g) for r in candidate]
-            del gens[g - 1]
-            steps += 1
-            eliminated = True
-            break
-        if eliminated:
-            continue
-
-        shortened = False
-        order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
-        for i in order:
-            for j in range(len(relators)):
-                if i == j:
-                    continue
-                cand = _try_shorten(relators[j], relators[i])
-                if cand is not None:
-                    relators[j] = cand
-                    relators = normalized(relators)
-                    shortened = True
-                    steps += 1
-                    break
-            if shortened:
-                break
-        if shortened:
-            continue
-
-        # Fully stuck: no non-growing move exists.  Force the elimination
-        # that grows the total least; generators only ever disappear, so
-        # this still terminates, and it is what lets rewritten subgroup
-        # presentations collapse.
-        best = None
-        for ri, signed in _isolated_candidates(relators):
-            rel = relators[ri]
-            g = abs(signed)
-            k = rel.index(signed)
-            rest = rel[k + 1:] + rel[:k]
-            image = invert(rest) if signed > 0 else rest
-            others = relators[:ri] + relators[ri + 1:]
-            candidate = normalized(_substitute(r, g, image) for r in others)
-            total = sum(len(r) for r in candidate)
-            if best is None or total < best[0]:
-                best = (total, g, candidate)
-        if best is None:
+    while True:
+        # A forced elimination still terminates: generators only disappear.
+        candidates = _isolated_candidates(relators)
+        total = sum(len(r) for r in relators)
+        move = (_eliminate(relators, keys, candidates, total,
+                           take_first=True, substituted=substituted)
+                or _shorten(relators, keys, tables)
+                or _eliminate(relators, keys, candidates, math.inf,
+                              take_first=False, substituted=substituted))
+        if move is None or steps >= budget:
             return TietzeResult(Presentation(tuple(gens), tuple(relators)),
-                                True, steps)
-        _, g, candidate = best
-        relators = [_drop_generator(r, g) for r in candidate]
-        del gens[g - 1]
+                                move is None, steps)
+        g, relators, keys = move
+        if g:
+            del gens[g - 1]
+            substituted.clear()
+            tables.clear()
         steps += 1
-    return TietzeResult(Presentation(tuple(gens), tuple(relators)), False, steps)

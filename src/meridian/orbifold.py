@@ -288,13 +288,14 @@ def obstruct_infinite_rank_one(pres: Presentation) -> InfiniteObstructionReport:
     target_kernel = reidemeister_schreier(
         target_pres,
         todd_coxeter(target_pres,
-                     SubgroupSpec.kernel_of((10,), list(target_ab.gen_images))))
+                     SubgroupSpec.kernel_of((10,), list(target_ab.gen_images)))
+    ).presentation
     if ab.rank == 1:
         spec = SubgroupSpec.kernel_of((10,), list(ab.gen_images))
     else:
         spec = SubgroupSpec.kernel_of((10,), [(i[-1] % 10,)
                                               for i in ab.gen_images])
-    kernel = reidemeister_schreier(pres, todd_coxeter(pres, spec))
+    kernel = reidemeister_schreier(pres, todd_coxeter(pres, spec)).presentation
     k_ab = abelianization(kernel)
     t_ab = abelianization(target_kernel)
     k_lcs = lcs_quotients(kernel)

@@ -163,7 +163,7 @@ def test_acceptance_5_subgroup_invariants(affine, presets):
     orb = presets["p1-2-5-10"]
     ab = abelianization(orb)
     k2 = reidemeister_schreier(orb, todd_coxeter(
-        orb, SubgroupSpec.kernel_of((10,), list(ab.gen_images))))
+        orb, SubgroupSpec.kernel_of((10,), list(ab.gen_images)))).presentation
     k2_ab = abelianization(k2)
     assert (k2_ab.rank, k2_ab.torsion) == (4, ())
     k2_lcs = lcs_quotients(k2)
@@ -172,7 +172,7 @@ def test_acceptance_5_subgroup_invariants(affine, presets):
 
     quotient = affine.with_relators([(1, 2) * 5])
     k1 = reidemeister_schreier(quotient, todd_coxeter(
-        quotient, SubgroupSpec.kernel_of((10,), [(1,), (1,)])))
+        quotient, SubgroupSpec.kernel_of((10,), [(1,), (1,)]))).presentation
     k1_lcs = lcs_quotients(k1)
     assert (k1_lcs.degree(2).rank, k1_lcs.degree(2).torsion) == (2, ())
     assert (k1_lcs.degree(3).rank, k1_lcs.degree(3).torsion) == (0, (5,))
@@ -236,7 +236,7 @@ def test_acceptance_8_property_suites():
     free2 = parse_presentation("gens x y;")
     for index in (2, 3, 4):
         sub = reidemeister_schreier(free2, todd_coxeter(
-            free2, SubgroupSpec.kernel_of((index,), [(1,), (0,)])))
+            free2, SubgroupSpec.kernel_of((index,), [(1,), (0,)]))).presentation
         ab = abelianization(sub)
         assert (ab.rank, ab.torsion) == (1 + index, ())
 

@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from meridian.cli import preset_text
+from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
+from meridian.fpgroups import parse_presentation, print_presentation
+
 MODULE = [sys.executable, "-m", "meridian.cli"]
 
 
@@ -98,6 +102,33 @@ class TestExitCodes:
         out = run("order", "--preset", "free2",
                   env_extra={"MERIDIAN_MAX_COSETS": "100"})
         assert out.returncode == 3
+
+    def test_homs_search_cap_is_exit_three(self):
+        out = run("homs", "--preset", "degtyarev-affine",
+                  "--target", "degtyarev-320", "--cap", "10")
+        assert out.returncode == 3
+        assert out.stderr.startswith("resource limit: search space")
+
+    def test_negative_tietze_budget_is_exit_two(self):
+        out = run("subgroup", "--preset", "p1-2-5-10",
+                  "--spec", "kernel Z/10 x->5 y->8", "--tietze-budget", "-1")
+        assert out.returncode == 2
+
+    def test_tietze_budget_stop_is_noted(self):
+        spec = ("subgroup", "--preset", "degtyarev-affine",
+                "--spec", "kernel Z/4 x->1 y->1")
+        pres = parse_presentation(preset_text("degtyarev-affine", ".grp"))
+        table = todd_coxeter(pres, SubgroupSpec.kernel_of((4,), [(1,), (1,)]))
+        for budget, note in (("3", True), ("20000", False)):
+            out = run(*spec, "--tietze-budget", budget)
+            sub = reidemeister_schreier(pres, table, int(budget)).presentation
+            assert out.returncode == 0
+            assert out.stdout.splitlines()[1:-1] == \
+                print_presentation(sub).splitlines()
+            assert out.stderr == (
+                f"note: Tietze simplification stopped at --tietze-budget"
+                f" {budget} after {budget} moves; more moves were available\n"
+                if note else "")
 
     def test_obstruct_negative(self):
         out = run("obstruct", "--finite", "320", "--ab", "Z/5")

@@ -4,6 +4,7 @@ from meridian.abelian import abelianization
 from meridian.cosets import (
     CosetOverflow,
     InvalidSubgroup,
+    SearchCapExceeded,
     SubgroupSpec,
     abelian_invariants_of_subset,
     check_table,
@@ -157,7 +158,7 @@ class TestReidemeisterSchreier:
     def test_free_group_index_two(self):
         free = parse_presentation("gens x y;")
         table = todd_coxeter(free, SubgroupSpec.kernel_of((2,), [(1,), (1,)]))
-        sub = reidemeister_schreier(free, table)
+        sub = reidemeister_schreier(free, table).presentation
         ab = abelianization(sub)
         assert (ab.rank, ab.torsion) == (3, ())
         assert sub.relators == ()
@@ -167,7 +168,7 @@ class TestReidemeisterSchreier:
         free = parse_presentation("gens x y;")
         table = todd_coxeter(free, SubgroupSpec.kernel_of(
             (index,), [(1,), (0,)]))
-        sub = reidemeister_schreier(free, table)
+        sub = reidemeister_schreier(free, table).presentation
         ab = abelianization(sub)
         assert sub.relators == ()
         assert (ab.rank, ab.torsion) == (1 + index * (2 - 1), ())
@@ -176,7 +177,7 @@ class TestReidemeisterSchreier:
         pres = presets["p1-2-5-10"]
         table = todd_coxeter(pres, SubgroupSpec.from_words([(1,), (2,)]))
         assert table.index == 1
-        sub = reidemeister_schreier(pres, table)
+        sub = reidemeister_schreier(pres, table).presentation
         a, b = abelianization(pres), abelianization(sub)
         assert (a.rank, a.torsion) == (b.rank, b.torsion)
 
@@ -185,7 +186,7 @@ class TestReidemeisterSchreier:
         ab = abelianization(pres)
         table = todd_coxeter(pres, SubgroupSpec.kernel_of(
             (10,), list(ab.gen_images)))
-        sub = reidemeister_schreier(pres, table)
+        sub = reidemeister_schreier(pres, table).presentation
         sub_ab = abelianization(sub)
         assert (sub_ab.rank, sub_ab.torsion) == (4, ())
 
@@ -219,7 +220,7 @@ class TestReidemeisterSchreier:
 
         pres = presets["degtyarev-affine"].with_relators([(1, 2) * 5])
         table = todd_coxeter(pres, SubgroupSpec.kernel_of((10,), [(1,), (1,)]))
-        sub = reidemeister_schreier(pres, table)
+        sub = reidemeister_schreier(pres, table).presentation
         ab = abelianization(sub)
         assert (ab.rank, ab.torsion) == (4, ())
 
@@ -245,7 +246,7 @@ class TestEpimorphisms:
         assert a == b
 
     def test_cap(self, presets):
-        with pytest.raises(ValueError):
+        with pytest.raises(SearchCapExceeded):
             find_epimorphisms(presets["degtyarev-affine"], dihedral_table(10),
                               cap=10)
 

@@ -7,6 +7,7 @@ from meridian.cosets import todd_coxeter
 from meridian.fpgroups import (
     ParseError,
     Presentation,
+    TietzeResult,
     WordError,
     commutator,
     conjugate,
@@ -171,8 +172,14 @@ class TestTietze:
     def test_budget_flag(self):
         p = parse_presentation(
             "gens a b c; rel a*b*c; rel b*c*a*b; rel c^4*a;")
+        assert tietze_simplify(p, budget=0) == TietzeResult(p, False, 0)
         result = tietze_simplify(p, budget=1)
-        assert not result.completed or result.steps <= 1
+        assert (result.steps, result.completed) == (1, False)
+        assert result.presentation.rank == 2
+        # two moves reach <a | a^3>; budget 2 is enough to finish
+        done = parse_presentation("gens a; rel a^-3;")
+        for budget in (2, 3, 10000):
+            assert tietze_simplify(p, budget) == TietzeResult(done, True, 2)
 
     def test_length_grows_only_for_generator_eliminations(self):
         # non-growing moves are preferred; growth is only ever bought by

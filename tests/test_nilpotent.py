@@ -122,7 +122,7 @@ class TestLcsQuotients:
     def test_degtyarev_kernel(self, presets):
         pres = presets["degtyarev-affine"].with_relators([(1, 2) * 5])
         table = todd_coxeter(pres, SubgroupSpec.kernel_of((10,), [(1,), (1,)]))
-        kernel = reidemeister_schreier(pres, table)
+        kernel = reidemeister_schreier(pres, table).presentation
         q = lcs_quotients(kernel)
         assert (q.degree(2).rank, q.degree(2).torsion) == (2, ())
         assert (q.degree(3).rank, q.degree(3).torsion) == (0, (5,))
