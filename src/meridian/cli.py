@@ -332,11 +332,26 @@ def cmd_obstruct(args) -> int:
     return NEGATIVE if report.verdict == "no-surjection" else OK
 
 
+def _target_order(name: str) -> int:
+    text = name.partition("-")[2]
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit2(f"bad order {text!r} in target {name!r}") from None
+
+
 def target_mult_table(name: str) -> cosets.MultTable:
     if name.startswith("cyclic-"):
-        return cosets.cyclic_table(int(name.split("-")[1]))
+        n = _target_order(name)
+        if n < 1:
+            raise SystemExit2(f"target {name!r}: cyclic-N needs N >= 1")
+        return cosets.cyclic_table(n)
     if name.startswith("dihedral-"):
-        return cosets.dihedral_table(int(name.split("-")[1]))
+        n = _target_order(name)
+        if n < 2 or n % 2:
+            raise SystemExit2(
+                f"target {name!r}: dihedral-N needs an even N >= 2")
+        return cosets.dihedral_table(n)
     if name == "degtyarev-320":
         pres = parse_presentation(preset_text("degtyarev-projective", ".grp"))
         return cosets.regular_rep(cosets.todd_coxeter(pres))
@@ -344,6 +359,8 @@ def target_mult_table(name: str) -> cosets.MultTable:
 
 
 def cmd_homs(args) -> int:
+    if args.limit < 0:
+        raise SystemExit2("--limit must be at least 0")
     pres = load_presentation(args)
     table = target_mult_table(args.target)
     found = cosets.find_epimorphisms(pres, table, cap=args.cap)
@@ -520,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homs", help="epimorphisms onto a finite group")
     add_source(p)
     p.add_argument("--target", required=True,
-                   help="cyclic-N, dihedral-N (order N), degtyarev-320,")
+                   help="cyclic-N, dihedral-N (order N) or degtyarev-320")
     p.add_argument("--cap", type=int, default=10 ** 7)
     p.add_argument("--limit", type=int, default=20,
                    help="how many assignments to print")

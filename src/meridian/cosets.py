@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 from . import fpgroups
 from .abelian import AbelianGroup
@@ -379,7 +381,13 @@ def check_table(pres: Presentation, table: CosetTable) -> bool:
 
 @dataclass
 class MultTable:
-    """Multiplication table of a finite group on indices 0..size-1."""
+    """Multiplication table of a finite group on indices 0..size-1.
+
+    ``inverses[a]`` is the inverse of a.  It is computed once for the whole
+    table, on first use, by finding the identity in each row; ``inverse`` and
+    ``evaluate`` read it, and a table in which some row lacks the identity
+    raises ValueError there (``validate`` reaches it too).
+    """
 
     size: int
     table: list[list[int]]
@@ -389,12 +397,16 @@ class MultTable:
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    @cached_property
+    def inverses(self) -> list[int]:
+        try:
+            return [row.index(self.identity) for row in self.table]
+        except ValueError:
+            raise ValueError(
+                "element has no inverse; not a group table") from None
+
     def inverse(self, a: int) -> int:
-        row = self.table[a]
-        for b in range(self.size):
-            if row[b] == self.identity:
-                return b
-        raise ValueError("element has no inverse; not a group table")
+        return self.inverses[a]
 
     def element_order(self, a: int) -> int:
         k, acc = 1, a
@@ -404,11 +416,9 @@ class MultTable:
         return k
 
     def evaluate(self, w: Word, images) -> int:
-        acc = self.identity
+        acc, inv = self.identity, self.inverses
         for x in w:
-            e = images[abs(x) - 1]
-            if x < 0:
-                e = self.inverse(e)
+            e = images[x - 1] if x > 0 else inv[images[-x - 1]]
             acc = self.table[acc][e]
         return acc
 
@@ -433,8 +443,7 @@ class MultTable:
         if any(self.table[e][a] != a or self.table[a][e] != a
                for a in range(self.size)):
             return False
-        for a in range(self.size):
-            self.inverse(a)
+        self.inverses      # raises ValueError if some row lacks the identity
         if self.size ** 3 <= sample:
             triples = ((a, b, c) for a in range(self.size)
                        for b in range(self.size) for c in range(self.size))
@@ -605,26 +614,65 @@ def reidemeister_schreier(pres: Presentation, table: CosetTable,
 # --- epimorphism search -----------------------------------------------------------
 
 
+def _conjugacy_classes(mt: MultTable) -> list[tuple[int, dict[int, int]]]:
+    """Each class as (least element a, {g a g^-1: the least such g})."""
+    table, inv = mt.table, mt.inverses
+    classes, seen = [], set()
+    for a in range(mt.size):
+        if a in seen:
+            continue
+        transversal: dict[int, int] = {}
+        for g in range(mt.size):
+            transversal.setdefault(table[table[g][a]][inv[g]], g)
+        seen.update(transversal)
+        classes.append((a, transversal))
+    return classes
+
+
 def find_epimorphisms(pres: Presentation, mt: MultTable,
                       cap: int = 10 ** 7) -> list[tuple[int, ...]]:
     """All generator assignments defining surjections onto the finite group.
 
-    Exhaustive over size^rank assignments; raises SearchCapExceeded when
-    there are more than ``cap`` of them.  An assignment survives if every
-    relator evaluates to the identity and the images generate.  Output order
-    is the lexicographic order of assignments, so it does not depend on the
-    relator order.
+    The search space is the size^rank assignments; SearchCapExceeded is
+    raised, before any work, when there are more than ``cap`` of them.  An
+    assignment survives if every relator evaluates to the identity and the
+    images generate.  Conjugating an assignment by an element g of the target
+    keeps both properties, and conjugation by g is an automorphism, so the
+    search tests only assignments whose first image is a conjugacy class
+    representative a, and sends each survivor (a, t2, ...) to
+    (g a g^-1, g t2 g^-1, ...) for one g per member of the class: that lists
+    every surviving assignment exactly once.  Relators are tested shortest
+    first, inverse images come from ``mt.inverses``, and the output is sorted,
+    so it is the lexicographic order of assignments and does not depend on
+    the relator order.
     """
-    total = mt.size ** pres.rank
+    rank = pres.rank
+    total = mt.size ** rank
     if total > cap:
         raise SearchCapExceeded(f"search space {total} exceeds cap {cap}")
-    from itertools import product
-
+    if rank == 0:
+        return [()] if mt.size == 1 else []
+    table, inv, e = mt.table, mt.inverses, mt.identity
+    # letter x reads slot x - 1 of [images..., inverse images...]
+    relators = [[x - 1 if x > 0 else rank - x - 1 for x in rel]
+                for rel in sorted(pres.relators, key=len)]
     out = []
-    for assign in product(range(mt.size), repeat=pres.rank):
-        if all(mt.evaluate(rel, assign) == mt.identity for rel in pres.relators):
-            if len(mt.closure(assign)) == mt.size:
-                out.append(assign)
+    for a, transversal in _conjugacy_classes(mt):
+        for tail in product(range(mt.size), repeat=rank - 1):
+            assign = (a,) + tail
+            slots = assign + tuple(inv[x] for x in assign)
+            for rel in relators:
+                acc = e
+                for k in rel:
+                    acc = table[acc][slots[k]]
+                if acc != e:
+                    break
+            else:
+                if len(mt.closure(assign)) == mt.size:
+                    out.extend(tuple(table[table[g][x]][inv[g]]
+                                     for x in assign)
+                               for g in transversal.values())
+    out.sort()
     return out
 
 

@@ -109,6 +109,23 @@ class TestExitCodes:
         assert out.returncode == 3
         assert out.stderr.startswith("resource limit: search space")
 
+    @pytest.mark.parametrize("target", ["cyclic-0", "cyclic-x", "dihedral-3"])
+    def test_bad_target_order_is_exit_two(self, target):
+        out = run("homs", "--preset", "c-2-3", "--target", target)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+
+    def test_homs_limit(self):
+        spec = ("homs", "--preset", "degtyarev-projective", "--target",
+                "cyclic-5")
+        out = run(*spec, "--limit", "-1")
+        assert out.returncode == 2
+        assert out.stderr == "error: --limit must be at least 0\n"
+        out = run(*spec, "--limit", "0")
+        assert out.returncode == 0
+        assert out.stdout == "epimorphisms onto cyclic-5 (order 5): 4\n"
+
     def test_negative_tietze_budget_is_exit_two(self):
         out = run("subgroup", "--preset", "p1-2-5-10",
                   "--spec", "kernel Z/10 x->5 y->8", "--tietze-budget", "-1")

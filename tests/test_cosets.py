@@ -4,6 +4,7 @@ from meridian.abelian import abelianization
 from meridian.cosets import (
     CosetOverflow,
     InvalidSubgroup,
+    MultTable,
     SearchCapExceeded,
     SubgroupSpec,
     abelian_invariants_of_subset,
@@ -118,7 +119,7 @@ def _perm_order(p):
     while q != identity:
         q = tuple(p[q[i]] for i in range(len(p)))
         n += 1
-    return nicht if False else n
+    return n
 
 
 class TestRegularRep:
@@ -258,6 +259,11 @@ class TestMultTables:
 
     def test_cyclic_validates(self):
         assert cyclic_table(7).validate()
+
+    def test_missing_inverse_is_rejected(self):
+        mt = MultTable(3, [[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0, ())
+        with pytest.raises(ValueError, match="no inverse; not a group table"):
+            mt.validate()
 
     def test_abelian_invariants_of_subset(self):
         mt = cyclic_table(12)
