@@ -24,6 +24,7 @@ from .fpgroups import (
     conjugate,
     invert,
     multiply,
+    parse_word,
     power,
     reduce_word,
 )
@@ -286,8 +287,10 @@ def zvk_presentation(data: MonodromyData, reduction: str = "none") -> Presentati
 #   braid mu_0: (s2^-1*s1)*s2^5;          # a*b is plain product; use conj()
 #   infinity: (g3*(g2*g1)^2)^-1;
 #
-# Braid words use s<k>, '*', '^n', parentheses and '1'; 'conj(a, b)' denotes
-# a b a^-1.  Words over g1..gn follow the same grammar with g<k> atoms.
+# Braid words are words over s1..s(n-1), the infinity word is a word over
+# g1..gn; both follow the word grammar of fpgroups (so '1', '^n', parentheses,
+# '[a, b]' and 'conj(a, b)' = a b a^-1 all work).  Compose lines name paths,
+# each optionally inverted with '^-1'.
 
 
 @dataclass
@@ -298,110 +301,9 @@ class MonodromyFile:
     compositions: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] = ()
 
 
-class _BraidParser:
-    def __init__(self, text: str, strands: int | None = None):
-        self.text = text
-        self.strands = strands
-
-    def _tokens(self, chunk: str, line: int):
-        i, col = 0, 1
-        out = []
-        while i < len(chunk):
-            c = chunk[i]
-            if c.isspace():
-                i += 1
-                col += 1
-            elif c in "()*^,":
-                out.append((c, line, col))
-                i += 1
-                col += 1
-            elif c == "-" or c.isdigit():
-                j = i + 1
-                while j < len(chunk) and chunk[j].isdigit():
-                    j += 1
-                out.append((chunk[i:j], line, col))
-                col += j - i
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i + 1
-                while j < len(chunk) and (chunk[j].isalnum() or chunk[j] == "_"):
-                    j += 1
-                out.append((chunk[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-        out.append((None, line, col))
-        return out
-
-    def parse_word(self, chunk: str, line: int, atom: str) -> Word:
-        """Parse a product expression over ``atom``-prefixed generators."""
-        tokens = self._tokens(chunk, line)
-        pos = 0
-
-        def peek():
-            return tokens[pos][0]
-
-        def advance():
-            nonlocal pos
-            tok = tokens[pos]
-            pos += 1
-            return tok
-
-        def expect(want):
-            tok, ln, cl = advance()
-            if tok != want:
-                raise ParseError(f"expected {want!r}, found {tok!r}", ln, cl)
-
-        def parse_product() -> Word:
-            w = parse_factor()
-            while peek() == "*":
-                advance()
-                w = multiply(w, parse_factor())
-            return w
-
-        def parse_factor() -> Word:
-            w = parse_atom()
-            if peek() == "^":
-                advance()
-                tok, ln, cl = advance()
-                try:
-                    e = int(tok)
-                except (TypeError, ValueError):
-                    raise ParseError(f"expected integer, found {tok!r}",
-                                     ln, cl) from None
-                w = power(w, e)
-            return w
-
-        def parse_atom() -> Word:
-            tok, ln, cl = advance()
-            if tok == "(":
-                w = parse_product()
-                expect(")")
-                return w
-            if tok == "conj":
-                expect("(")
-                a = parse_product()
-                expect(",")
-                b = parse_product()
-                expect(")")
-                return conjugate(a, b)
-            if tok == "1":
-                return ()
-            if tok and tok.startswith(atom) and tok[len(atom):].isdigit():
-                return (int(tok[len(atom):]),)
-            raise ParseError(f"expected {atom}<k>, found {tok!r}", ln, cl)
-
-        w = parse_product()
-        tok, ln, cl = tokens[pos]
-        if tok is not None:
-            raise ParseError(f"trailing input {tok!r}", ln, cl)
-        return w
-
-    def braid_word(self, chunk: str, line: int) -> BraidWord:
-        if self.strands is None:
-            raise ParseError("braid word before 'strands' declaration", line, 1)
-        return BraidWord(self.strands, self.parse_word(chunk, line, "s"))
+def _letters(prefix: str, count: int) -> dict[str, int]:
+    """The index {prefix1: 1, ..., prefix<count>: count} for parse_word."""
+    return {f"{prefix}{k}": k for k in range(1, count + 1)}
 
 
 def parse_monodromy(text: str) -> MonodromyFile:
@@ -411,7 +313,6 @@ def parse_monodromy(text: str) -> MonodromyFile:
     braids: list[tuple[str, BraidWord]] = []
     compositions: list[tuple[str, tuple[tuple[str, int], ...]]] = []
     infinity: Word | None = None
-    parser = _BraidParser(text)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -421,12 +322,18 @@ def parse_monodromy(text: str) -> MonodromyFile:
             raise ParseError("statement must end with ';'", line_no, len(raw))
         line = line[:-1].strip()
         if line.startswith("strands"):
-            strands = int(line.split()[1])
-            parser.strands = strands
+            count = line[len("strands"):].strip()
+            if not count.isdigit():
+                raise ParseError("expected 'strands <n>'", line_no, 1)
+            strands = int(count)
         elif line.startswith("path ") or line.startswith("braid "):
             kind, rest = line.split(" ", 1)
             name, expr = rest.split(":", 1)
-            entry = (name.strip(), parser.braid_word(expr, line_no))
+            if strands is None:
+                raise ParseError("braid word before 'strands' declaration",
+                                 line_no, 1)
+            letters = parse_word(expr, _letters("s", strands - 1), line_no)
+            entry = (name.strip(), BraidWord(strands, letters))
             (paths if kind == "path" else braids).append(entry)
         elif line.startswith("compose "):
             name, expr = line[len("compose "):].split(":", 1)
@@ -441,7 +348,7 @@ def parse_monodromy(text: str) -> MonodromyFile:
             _, expr = line.split(":", 1)
             if strands is None:
                 raise ParseError("'infinity' before 'strands'", line_no, 1)
-            infinity = parser.parse_word(expr, line_no, "g")
+            infinity = parse_word(expr, _letters("g", strands), line_no)
         else:
             raise ParseError(f"unknown statement {line.split()[0]!r}", line_no, 1)
 

@@ -165,9 +165,6 @@ class FiniteTorusVariety:
     def stratum(self, k: int) -> list[Character]:
         return [chi for chi, d in self.depths if d >= k]
 
-    def max_depth(self) -> int:
-        return max((d for _, d in self.depths), default=0)
-
     def describe(self, k: int) -> str:
         return describe_character_set(self.stratum(k), self.modulus)
 
@@ -218,19 +215,21 @@ def charvar_finite_torus(pres: Presentation) -> FiniteTorusVariety:
 # --- rank-one torus (abelianization Z) ----------------------------------------
 
 
-def _laurent_to_poly(elt: GroupRingElt) -> UniPoly:
-    """One-variable group-ring element as a polynomial, unit factor dropped.
+def _row_to_polys(row: list[GroupRingElt]) -> list[UniPoly]:
+    """One-variable Fox-matrix row as polynomials in t, shifted as a whole.
 
-    Monomials are powers of t; multiplying by t^k is harmless because t is a
-    unit on the character torus.
+    The row is multiplied by t^-low, where low is its least exponent: t is a
+    unit on the character torus, so every minor changes by a unit.  Shifting each
+    entry by its own power of t would change the minors.
     """
-    if not elt:
-        return UniPoly()
-    low = min(m[0] for m in elt)
-    coeffs = [0] * (max(m[0] for m in elt) - low + 1)
-    for m, c in elt.items():
-        coeffs[m[0] - low] = c
-    return UniPoly(coeffs)
+    low = min((m[0] for elt in row for m in elt), default=0)
+    out = []
+    for elt in row:
+        coeffs = [0] * max((m[0] - low + 1 for m in elt), default=0)
+        for m, c in elt.items():
+            coeffs[m[0] - low] = c
+        out.append(UniPoly(coeffs))
+    return out
 
 
 def _poly_minors(matrix: list[list[UniPoly]], size: int) -> list[UniPoly]:
@@ -314,8 +313,7 @@ class RankOneVariety:
         return RankOneStratum(k, False, {}, UniPoly([1]), self.betti >= k)
 
 
-def charvar_rank_one(pres: Presentation,
-                     max_depth: int | None = None) -> RankOneVariety:
+def charvar_rank_one(pres: Presentation) -> RankOneVariety:
     """Characteristic varieties when the abelianization is Z.
 
     V_k away from 1 is cut out by the (g-k)-minors of the Fox matrix in the
@@ -323,18 +321,18 @@ def charvar_rank_one(pres: Presentation,
     cyclotomic factors Phi_N, whatever N, plus a residual with no root of
     unity among its roots.  Membership of the trivial character follows the
     Betti rule: 1 lies in V_k exactly when the first Betti number is at
-    least k.
+    least k.  The gcd is taken up to units of Z[t, t^-1], so powers of t
+    are divided out: 0 is not a character.
     """
     group = abelianization(pres)
     if group.rank != 1 or group.torsion:
         raise CharVarError("rank-one mode needs abelianization Z"
                            " (use per-character tests otherwise)")
     g = pres.rank
-    matrix = [[_laurent_to_poly(e) for e in row] for row in fox_matrix(pres, group)]
+    matrix = [_row_to_polys(row) for row in fox_matrix(pres, group)]
     betti = 1
     strata = []
-    top = max_depth if max_depth is not None else g
-    for k in range(1, top + 1):
+    for k in range(1, g + 1):
         size = g - k
         includes_one = betti >= k
         if size <= 0:
@@ -351,7 +349,8 @@ def charvar_rank_one(pres: Presentation,
         if acc.is_zero():
             strata.append(RankOneStratum(k, True, {}, UniPoly(), includes_one))
             continue
-        factors, residual = cyclotomic_factors(acc)
+        zeros = next(i for i, c in enumerate(acc.coeffs) if c)  # t^zeros | acc
+        factors, residual = cyclotomic_factors(UniPoly(acc.coeffs[zeros:]))
         factors.pop(1, None)    # t - 1: the Betti rule governs 1
         stratum = RankOneStratum(k, False, factors, residual.primitive_int(),
                                  includes_one)

@@ -17,7 +17,14 @@ from . import braids, cosets, curves, orbifold
 from .abelian import AbelianGroup, abelianization
 from .charvar import CharVarError, charvar_finite_torus, charvar_rank_one
 from .cosets import CosetOverflow, InvalidSubgroup, SearchCapExceeded, SubgroupSpec
-from .fpgroups import ParseError, Presentation, parse_presentation, print_presentation, tietze_simplify
+from .fpgroups import (
+    ParseError,
+    Presentation,
+    parse_presentation,
+    parse_word,
+    print_presentation,
+    tietze_simplify,
+)
 from .nilpotent import lcs_quotients
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE_LIMIT = 0, 1, 2, 3
@@ -61,7 +68,9 @@ class SystemExit2(Exception):
 
 
 def default_max_cosets(args) -> int:
-    if getattr(args, "max_cosets", None):
+    if getattr(args, "max_cosets", None) is not None:
+        if args.max_cosets < 1:
+            raise SystemExit2("--max-cosets must be at least 1")
         return args.max_cosets
     env = os.environ.get("MERIDIAN_MAX_COSETS")
     return int(env) if env else 10 ** 6
@@ -95,13 +104,9 @@ def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
         return SubgroupSpec.kernel_of(
             moduli, [images[name] for name in pres.generators])
     if text.startswith("gens"):
-        body = text[len("gens"):].strip()
-        words = []
-        for chunk in body.split():
-            helper = parse_presentation(
-                "gens " + " ".join(pres.generators) + "; rel " + chunk + ";")
-            words.append(helper.relators[0] if helper.relators else ())
-        return SubgroupSpec.from_words(words)
+        index = {name: i for i, name in enumerate(pres.generators, start=1)}
+        return SubgroupSpec.from_words(
+            [parse_word(chunk, index) for chunk in text[len("gens"):].split()])
     if text in ("trivial", ""):
         return SubgroupSpec.trivial()
     raise SystemExit2(f"cannot parse subgroup spec {text!r}")
@@ -299,6 +304,8 @@ def cmd_orbifold(args) -> int:
 
 def cmd_obstruct(args) -> int:
     if args.finite is not None:
+        if args.finite < 1:
+            raise SystemExit2("--finite must be at least 1")
         ab = parse_abelian(args.ab or "1")
         report = orbifold.obstruct_finite(args.finite, ab)
         lines = [f"verdict: {report.verdict}"]
@@ -361,6 +368,8 @@ def target_mult_table(name: str) -> cosets.MultTable:
 def cmd_homs(args) -> int:
     if args.limit < 0:
         raise SystemExit2("--limit must be at least 0")
+    if args.cap < 0:
+        raise SystemExit2("--cap must be at least 0")
     pres = load_presentation(args)
     table = target_mult_table(args.target)
     found = cosets.find_epimorphisms(pres, table, cap=args.cap)

@@ -423,13 +423,6 @@ class BiPoly:
     def derivative_y(self) -> "BiPoly":
         return BiPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate_y(self, y) -> UniPoly:
-        yp = y if isinstance(y, UniPoly) else UniPoly.constant(y)
-        out = UniPoly()
-        for c in reversed(self.coeffs):
-            out = out * yp + c
-        return out
-
 
 def _poly_det_bareiss(m: list[list[UniPoly]]) -> UniPoly:
     """Determinant of a matrix over Q[x] by fraction-free Bareiss elimination.

@@ -192,15 +192,21 @@ def _syllables(w: Word):
 #   relation  := word | word "=" word         (w1 = w2 stored as w1 * w2^-1)
 #   word      := factor ("*" factor)*
 #   factor    := atom ("^" integer)?
-#   atom      := ident | "(" word ")" | "[" word "," word "]"
+#   atom      := ident | "1" | "(" word ")" | "[" word "," word "]"
+#              | "conj" "(" word "," word ")"
 #   comments  := "#" to end of line
+#
+# [a, b] = a b a^-1 b^-1 and conj(a, b) = a b a^-1.  "conj" is an atom only
+# when "(" follows and no generator is named conj.  Words are freely reduced,
+# never cyclically.  Monodromy files (braids.parse_monodromy) and subgroup
+# specs use this word grammar through parse_word.
 
 _PUNCT = set("();*^=[],")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, line: int = 1):
     tokens = []
-    line, col = 1, 1
+    col = 1
     i = 0
     while i < len(text):
         c = text[i]
@@ -241,8 +247,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
+    def __init__(self, text, line=1):
+        self.tokens = _tokenize(text, line)
         self.pos = 0
 
     def peek(self):
@@ -326,6 +332,13 @@ class _Parser:
             b = self.parse_word(index)
             self.expect("]")
             return commutator(a, b)
+        if tok == "conj" and "conj" not in index and self.peek() == "(":
+            self.next()
+            a = self.parse_word(index)
+            self.expect(",")
+            b = self.parse_word(index)
+            self.expect(")")
+            return conjugate(a, b)
         if tok == "1":
             return ()
         if tok is None or tok in _PUNCT or tok[0].isdigit() or tok == "-":
@@ -336,11 +349,21 @@ class _Parser:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse presentation text; see the grammar at the top of this section.
-
-    The commutator bracket expands as [a, b] = a b a^-1 b^-1.
-    """
+    """Parse presentation text; see the grammar at the top of this section."""
     return _Parser(text).parse_file()
+
+
+def parse_word(text: str, index: dict[str, int], line: int = 1) -> Word:
+    """Parse one word of the grammar above, freely reduced.
+
+    ``index`` maps generator names to 1-based indices; ``line`` is the line
+    number that errors report.  Raises ParseError on trailing input.
+    """
+    parser = _Parser(text, line)
+    w = parser.parse_word(index)
+    if parser.peek() is not None:
+        parser.fail(f"trailing input {parser.peek()!r}")
+    return w
 
 
 def print_presentation(pres: Presentation) -> str:

@@ -18,7 +18,14 @@ from meridian.braids import (
 )
 from meridian.charvar import twisted_h1_dim
 from meridian.cli import preset_text
-from meridian.fpgroups import invert, multiply, reduce_word
+from meridian.fpgroups import (
+    ParseError,
+    cyclic_reduce,
+    invert,
+    multiply,
+    parse_presentation,
+    reduce_word,
+)
 from meridian.cosets import todd_coxeter
 from conftest import random_word
 
@@ -235,9 +242,35 @@ class TestMonodromyFormat:
             pres = zvk_presentation(mono.monodromy, "none")
             assert todd_coxeter(pres.with_relators([(1,) * 5])).index == 320
 
-    def test_parse_errors(self):
-        from meridian.fpgroups import ParseError
+    @pytest.mark.parametrize("expr,letters", [
+        ("conj(s2^-1*s1, s2^5)", (-2, 1, 2, 2, 2, 2, 2, -1, 2)),
+        ("[s1, s2]", (1, 2, -1, -2)),
+        ("conj(s1, [s1, s2^-1])^2", (1, 1, -2, -1, 2, 1, -2, -1, 2, -1)),
+    ])
+    def test_one_grammar_for_braid_and_presentation_text(self, expr, letters):
+        mono = parse_monodromy(f"strands 3;\nbraid b: {expr};\n"
+                               f"infinity: {expr.replace('s', 'g')};\n")
+        assert mono.monodromy.braids[0][1].letters == letters
+        assert mono.monodromy.infinity_meridian == letters
+        pres = parse_presentation(f"gens s1 s2; rel {expr};")
+        assert pres.relators == (cyclic_reduce(letters),)
 
+    @pytest.mark.parametrize("text,line,column,name", [
+        ("strands 3;\npath a: s1*s3;\n", 2, 5, "s3"),
+        ("strands 3;\nbraid b: s0;\n", 2, 2, "s0"),
+        ("strands 3;\nbraid b: s1;\n# note\ninfinity: g1*g4;\n", 4, 5, "g4"),
+    ])
+    def test_out_of_range_letter_has_position(self, text, line, column, name):
+        with pytest.raises(ParseError) as err:
+            parse_monodromy(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert f"undeclared generator {name!r}" in str(err.value)
+
+    def test_malformed_strands_line(self):
+        with pytest.raises(ParseError):
+            parse_monodromy("strands;\n")
+
+    def test_parse_errors(self):
         with pytest.raises((ParseError, BraidError)):
             parse_monodromy("strands 3;\npath a: s9;\n")
         with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from meridian.abelian import Character, abelianization, characters_of_order_dividing
 from meridian.charvar import (
@@ -13,7 +14,12 @@ from meridian.charvar import (
     twisted_h1_dim,
 )
 from meridian.exactalg import CycloNumber
-from meridian.fpgroups import Presentation, parse_presentation, tietze_simplify
+from meridian.fpgroups import (
+    Presentation,
+    parse_presentation,
+    reduce_word,
+    tietze_simplify,
+)
 from conftest import random_presentation, random_word
 
 
@@ -211,6 +217,39 @@ class TestRankOne:
             assert (twisted_h1_dim(pres, chi) >= 1) == member
         assert v.stratum(1).contains_primitive(209)
 
+    def test_wirtinger_trefoil(self):
+        # the Fox matrix has entries with different powers of t in one row
+        v = charvar_rank_one(parse_presentation(
+            "gens x1 x2 x3; rel x3 = x2*x1*x2^-1; rel x1 = x3*x2*x3^-1;"
+            " rel x2 = x1*x3*x1^-1;"))
+        assert v.stratum(1).describe() == "{1} u mu6-primitive"
+        assert v.stratum(2).is_empty()
+
+    def test_no_root_at_zero(self):
+        v = charvar_rank_one(parse_presentation(
+            "gens g1 g2 g3; rel g2^-1*g1*g2*g3^-1*g2^-1;"
+            " rel g3*g2*g1^-1*g2^-1*g1^-1*g2;"))
+        assert v.stratum(1).describe() == "{1} u roots of x^2 - x - 1"
+        # the gcd of the minors is t^3, a unit on the character torus
+        v = charvar_rank_one(parse_presentation(
+            "gens g1 g2 g3 g4; rel g4*g3; rel g4^-2*g2^-1*g1^-1;"
+            " rel g3*g2*g1*g2*g4;"))
+        assert v.stratum(1).describe() == "{1}"
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_wirtinger_torus_knots_t2n(self, n):
+        # V1 away from 1 is the primitive d-th roots, d | 2n, d !| 2, d !| n
+        text = "gens " + " ".join(f"x{i}" for i in range(1, n + 1)) + ";"
+        for i in range(n):
+            a, b, c = (f"x{(i + j) % n + 1}" for j in range(3))
+            text += f" rel {c} = {b}*{a}*{b}^-1;"
+        v = charvar_rank_one(parse_presentation(text))
+        orders = {d for d in range(3, 2 * n + 1) if 2 * n % d == 0 and n % d}
+        assert v.stratum(1).includes_one
+        assert v.stratum(1).cyclotomic == {d: 1 for d in orders}
+        assert v.stratum(1).residual.degree < 1
+        assert v.stratum(2).is_empty()
+
     def test_tietze_invariance(self, presets):
         pres = presets["degtyarev-affine"]
         simplified = tietze_simplify(pres).presentation
@@ -220,3 +259,29 @@ class TestRankOne:
             a, b = v1.stratum(k), v2.stratum(k)
             assert (a.cyclotomic, a.includes_one, a.is_empty()) == \
                 (b.cyclotomic, b.includes_one, b.is_empty())
+
+
+@st.composite
+def rank_one_presentations(draw):
+    rank = draw(st.integers(2, 4))
+    letter = st.sampled_from([x for x in range(-rank, rank + 1) if x])
+    words = st.lists(letter, min_size=1, max_size=9).map(reduce_word)
+    relators = draw(st.lists(words, min_size=1, max_size=rank + 1))
+    pres = Presentation(tuple(f"g{i}" for i in range(1, rank + 1)),
+                        tuple(relators))
+    group = abelianization(pres)
+    assume(group.rank == 1 and not group.torsion)
+    return pres
+
+
+@settings(max_examples=150)
+@given(rank_one_presentations())
+def test_rank_one_strata_against_twisted_dims(pres):
+    v = charvar_rank_one(pres)
+    for k in (1, 2, 3):
+        residual = v.stratum(k).residual
+        assert residual.degree < 1 or residual.coeffs[0] != 0
+    for n in range(2, 13):
+        dim = twisted_h1_dim(pres, Character(n, (1,)))
+        for k in (1, 2, 3):
+            assert (dim >= k) == v.stratum(k).contains_primitive(n)

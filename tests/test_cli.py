@@ -147,6 +147,20 @@ class TestExitCodes:
                 f" {budget} after {budget} moves; more moves were available\n"
                 if note else "")
 
+    @pytest.mark.parametrize("args,message", [
+        (("order", "--preset", "degtyarev-projective", "--max-cosets", "0"),
+         "--max-cosets must be at least 1"),
+        (("obstruct", "--finite", "0"), "--finite must be at least 1"),
+        (("obstruct", "--finite", "-4"), "--finite must be at least 1"),
+        (("homs", "--preset", "free2", "--target", "cyclic-2", "--cap", "-1"),
+         "--cap must be at least 0"),
+    ])
+    def test_out_of_range_numbers_are_exit_two(self, args, message):
+        out = run(*args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"error: {message}\n"
+
     def test_obstruct_negative(self):
         out = run("obstruct", "--finite", "320", "--ab", "Z/5")
         assert out.returncode == 1
@@ -154,6 +168,45 @@ class TestExitCodes:
         assert out.returncode == 0
         assert "(2,2,3) order 6: survives" in out.stdout
 
+
+class TestSubgroupSpecWords:
+    """Subgroup generators are freely reduced words, never cyclically
+    reduced: y*x*y^-1 is a conjugate of x, not x itself."""
+
+    def test_conjugate_generator_in_s3(self, tmp_path):
+        path = tmp_path / "s3.grp"
+        path.write_text("gens x y; rel x^2; rel y^3; rel (x*y)^2;\n")
+        out = run("order", str(path), "--subgroup", "gens y*x*y^-1 x")
+        assert out.returncode == 0
+        assert out.stdout == "index 1\n"
+
+    def test_conjugate_generator_in_affine_group(self):
+        out = run("subgroup", "--preset", "degtyarev-affine",
+                  "--spec", "gens x*y*x^-1 y")
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[0] == "index 1"
+
+    def test_bad_word_is_exit_two(self):
+        out = run("order", "--preset", "c-2-3", "--subgroup", "gens x*z")
+        assert out.returncode == 2
+        assert out.stderr == "error: 1:3: undeclared generator 'z'\n"
+
+
+class TestRankOneCharvar:
+    @pytest.mark.parametrize("text,v1", [
+        ("gens x1 x2 x3; rel x3 = x2*x1*x2^-1; rel x1 = x3*x2*x3^-1;"
+         " rel x2 = x1*x3*x1^-1;", "{1} u mu6-primitive"),
+        ("gens g1 g2 g3; rel g2^-1*g1*g2*g3^-1*g2^-1;"
+         " rel g3*g2*g1^-1*g2^-1*g1^-1*g2;", "{1} u roots of x^2 - x - 1"),
+        ("gens g1 g2 g3 g4; rel g4*g3; rel g4^-2*g2^-1*g1^-1;"
+         " rel g3*g2*g1*g2*g4;", "{1}"),
+    ])
+    def test_strata(self, tmp_path, text, v1):
+        path = tmp_path / "g.grp"
+        path.write_text(text + "\n")
+        out = run("charvar", str(path))
+        assert out.returncode == 0
+        assert out.stdout == f"character torus: C*\nV1 = {v1}\nV2 = {{}}\n"
 
 
 def torus_knot_orders(p, q):

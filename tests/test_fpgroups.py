@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from meridian.abelian import abelianization
 from meridian.cosets import todd_coxeter
@@ -15,6 +16,7 @@ from meridian.fpgroups import (
     invert,
     multiply,
     parse_presentation,
+    parse_word,
     power,
     print_presentation,
     reduce_word,
@@ -134,6 +136,53 @@ class TestParser:
     def test_round_trip_presets(self, presets):
         for p in presets.values():
             assert parse_presentation(print_presentation(p)) == p
+
+
+@st.composite
+def named_words(draw):
+    """A presentation on 1-4 names ('conj' may be one) and a reduced word."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "g1", "s12", "conj", "a_b"]),
+                          min_size=1, max_size=4, unique=True))
+    letter = st.sampled_from([x for x in range(-len(names), len(names) + 1) if x])
+    word = draw(st.lists(letter, max_size=14).map(reduce_word))
+    return Presentation(tuple(names), ()), word
+
+
+class TestParseWord:
+    INDEX = {"x": 1, "y": 2}
+
+    @given(named_words())
+    def test_round_trip(self, case):
+        pres, w = case
+        index = {name: i for i, name in enumerate(pres.generators, start=1)}
+        assert parse_word(pres.spell(w), index) == w
+
+    def test_freely_not_cyclically_reduced(self):
+        assert parse_word("y*x*y^-1", self.INDEX) == (2, 1, -2)
+        assert parse_word("x*y*y^-1*x^-1", self.INDEX) == ()
+
+    def test_conj_and_commutator_atoms(self):
+        assert parse_word("conj(x*y, x)", self.INDEX) == (1, 2, 1, -2, -1)
+        assert parse_word("[x, y]", self.INDEX) == (1, 2, -1, -2)
+        assert parse_word("conj(x, [x, y])^2", self.INDEX) == \
+            conjugate((1,), power(commutator((1,), (2,)), 2))
+
+    def test_conj_is_a_generator_when_declared(self):
+        index = {"conj": 1, "x": 2}
+        assert parse_word("conj*x^-1*conj", index) == (1, -2, 1)
+        with pytest.raises(ParseError, match="trailing input '\\('"):
+            parse_word("conj(x, x)", index)
+        with pytest.raises(ParseError, match="undeclared generator 'conj'"):
+            parse_word("conj*x", self.INDEX)
+
+    def test_trailing_input_and_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_word("x y", self.INDEX)
+        assert (err.value.line, err.value.column) == (1, 3)
+        with pytest.raises(ParseError) as err:
+            parse_word("x*\n z", self.INDEX, line=7)
+        assert (err.value.line, err.value.column) == (8, 2)
+        assert "undeclared generator 'z'" in str(err.value)
 
 
 class TestPresentation:
