@@ -21,7 +21,6 @@ from .fpgroups import (
     ParseError,
     Presentation,
     Word,
-    conjugate,
     invert,
     multiply,
     parse_word,
@@ -58,13 +57,6 @@ class BraidWord:
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, invert(self.letters))
-
-    def conjugated_by(self, other: "BraidWord") -> "BraidWord":
-        """other * self * other^-1."""
-        if self.strands != other.strands:
-            raise BraidError("strand counts differ")
-        return BraidWord(self.strands,
-                         conjugate(other.letters, self.letters))
 
     def __pow__(self, n: int) -> "BraidWord":
         return BraidWord(self.strands, power(self.letters, n))
@@ -306,6 +298,14 @@ def _letters(prefix: str, count: int) -> dict[str, int]:
     return {f"{prefix}{k}": k for k in range(1, count + 1)}
 
 
+def _definition(line: str, keyword: str, line_no: int) -> tuple[str, str]:
+    """'<keyword> <name>: <expr>' as (name, expr)."""
+    head, colon, expr = line.partition(":")
+    if not colon:
+        raise ParseError(f"expected '{keyword} <name>: ...'", line_no, 1)
+    return head[len(keyword):].strip(), expr
+
+
 def parse_monodromy(text: str) -> MonodromyFile:
     """Parse the monodromy text format described above."""
     strands: int | None = None
@@ -327,25 +327,25 @@ def parse_monodromy(text: str) -> MonodromyFile:
                 raise ParseError("expected 'strands <n>'", line_no, 1)
             strands = int(count)
         elif line.startswith("path ") or line.startswith("braid "):
-            kind, rest = line.split(" ", 1)
-            name, expr = rest.split(":", 1)
+            kind = line.split(" ", 1)[0]
+            name, expr = _definition(line, kind, line_no)
             if strands is None:
                 raise ParseError("braid word before 'strands' declaration",
                                  line_no, 1)
             letters = parse_word(expr, _letters("s", strands - 1), line_no)
-            entry = (name.strip(), BraidWord(strands, letters))
+            entry = (name, BraidWord(strands, letters))
             (paths if kind == "path" else braids).append(entry)
         elif line.startswith("compose "):
-            name, expr = line[len("compose "):].split(":", 1)
+            name, expr = _definition(line, "compose", line_no)
             steps = []
             for item in expr.replace("*", " ").split():
                 if item.endswith("^-1"):
                     steps.append((item[:-3], -1))
                 else:
                     steps.append((item, 1))
-            compositions.append((name.strip(), tuple(steps)))
+            compositions.append((name, tuple(steps)))
         elif line.startswith("infinity"):
-            _, expr = line.split(":", 1)
+            _, expr = _definition(line, "infinity", line_no)
             if strands is None:
                 raise ParseError("'infinity' before 'strands'", line_no, 1)
             infinity = parse_word(expr, _letters("g", strands), line_no)

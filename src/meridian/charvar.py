@@ -25,6 +25,7 @@ from .exactalg import (
     UniPoly,
     cyclotomic_factors,
     cyclotomic_polynomial,
+    euler_phi,
     matrix_rank,
     poly_gcd,
 )
@@ -156,17 +157,16 @@ class FiniteTorusVariety:
     modulus: int
     depths: list[tuple[Character, int]]
 
-    def depth(self, xi: Character) -> int:
-        for chi, d in self.depths:
-            if chi == xi:
-                return d
-        raise KeyError("character not in torus")
-
     def stratum(self, k: int) -> list[Character]:
         return [chi for chi, d in self.depths if d >= k]
 
     def describe(self, k: int) -> str:
         return describe_character_set(self.stratum(k), self.modulus)
+
+    def contains_primitive(self, k: int, order: int) -> bool:
+        """Whether characters of exact order `order` exist, all in V_k."""
+        depths = [d for chi, d in self.depths if chi.order() == order]
+        return bool(depths) and min(depths) >= k
 
 
 def describe_character_set(chars: list[Character], modulus: int) -> str:
@@ -185,19 +185,13 @@ def describe_character_set(chars: list[Character], modulus: int) -> str:
     for d in sorted(by_order):
         if d == 1:
             parts.append("{1}")
-        elif modulus % d == 0 and len(by_order[d]) == _primitive_count(modulus, d):
+        elif modulus % d == 0 and len(by_order[d]) == euler_phi(d):
             parts.append(f"mu{d}-primitive")
         else:
             leftovers.extend(by_order[d])
     if leftovers:
         parts.append("{" + ", ".join(str(c.exponents) for c in leftovers) + "}")
     return " u ".join(parts)
-
-
-def _primitive_count(modulus: int, order: int) -> int:
-    from .exactalg import euler_phi
-
-    return euler_phi(order)   # characters of exact order d in a cyclic torus
 
 
 def charvar_finite_torus(pres: Presentation) -> FiniteTorusVariety:
@@ -312,6 +306,9 @@ class RankOneVariety:
         # beyond the last computed stratum everything is empty
         return RankOneStratum(k, False, {}, UniPoly([1]), self.betti >= k)
 
+    def contains_primitive(self, k: int, order: int) -> bool:
+        return self.stratum(k).contains_primitive(order)
+
 
 def charvar_rank_one(pres: Presentation) -> RankOneVariety:
     """Characteristic varieties when the abelianization is Z.
@@ -358,3 +355,16 @@ def charvar_rank_one(pres: Presentation) -> RankOneVariety:
         if stratum.is_empty():
             break
     return RankOneVariety(betti, strata)
+
+
+def characteristic_variety(pres: Presentation
+                           ) -> FiniteTorusVariety | RankOneVariety:
+    """The characteristic varieties in the one mode the abelianization allows:
+    every character when it is finite, the rank-one torus C* when it is Z."""
+    group = abelianization(pres)
+    if group.rank == 0:
+        return charvar_finite_torus(pres)
+    if group.rank == 1 and not group.torsion:
+        return charvar_rank_one(pres)
+    raise CharVarError(f"abelianization {group}: characteristic varieties"
+                       " need a finite abelianization or Z")

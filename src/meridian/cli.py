@@ -15,13 +15,13 @@ from importlib import resources
 
 from . import braids, cosets, curves, orbifold
 from .abelian import AbelianGroup, abelianization
-from .charvar import CharVarError, charvar_finite_torus, charvar_rank_one
+from .charvar import CharVarError, FiniteTorusVariety, characteristic_variety
 from .cosets import CosetOverflow, InvalidSubgroup, SearchCapExceeded, SubgroupSpec
 from .fpgroups import (
     ParseError,
     Presentation,
     parse_presentation,
-    parse_word,
+    parse_words,
     print_presentation,
     tietze_simplify,
 )
@@ -76,6 +76,13 @@ def default_max_cosets(args) -> int:
     return int(env) if env else 10 ** 6
 
 
+def _integer(text: str, source: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit2(f"expected an integer in {source!r}") from None
+
+
 def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
     """Subgroup specs: 'kernel Z/10 x->5 y->2' or 'gens x*y y^2'."""
     text = text.strip().rstrip(";")
@@ -88,16 +95,18 @@ def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
             for factor in token.split("x"):
                 factor = factor.strip()
                 if factor.startswith("Z/"):
-                    moduli.append(int(factor[2:]))
+                    moduli.append(_integer(factor[2:], token))
                 elif factor:
                     raise SystemExit2(f"bad kernel target component {factor!r}")
+        if any(m < 1 for m in moduli):
+            raise SystemExit2("kernel target moduli must be at least 1")
         arrow_part = [t for t in parts[1:] if "->" in t]
         images = {name: (0,) * len(moduli) for name in pres.generators}
         for token in arrow_part:
             name, _, value = token.partition("->")
             if name not in pres.generators:
                 raise SystemExit2(f"unknown generator {name!r} in kernel spec")
-            coords = tuple(int(v) for v in value.split(","))
+            coords = tuple(_integer(v, token) for v in value.split(","))
             if len(coords) != len(moduli):
                 raise SystemExit2("kernel image has wrong number of coordinates")
             images[name] = coords
@@ -105,8 +114,8 @@ def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
             moduli, [images[name] for name in pres.generators])
     if text.startswith("gens"):
         index = {name: i for i, name in enumerate(pres.generators, start=1)}
-        return SubgroupSpec.from_words(
-            [parse_word(chunk, index) for chunk in text[len("gens"):].split()])
+        body = text[len("gens"):].strip()
+        return SubgroupSpec.from_words(parse_words(body, index))
     if text in ("trivial", ""):
         return SubgroupSpec.trivial()
     raise SystemExit2(f"cannot parse subgroup spec {text!r}")
@@ -124,11 +133,14 @@ def parse_abelian(text: str) -> AbelianGroup:
         if part == "Z":
             rank += 1
         elif part.startswith("Z^"):
-            rank += int(part[2:])
+            rank += _integer(part[2:], text)
         elif part.startswith("Z/"):
-            torsion.append(int(part[2:]))
+            torsion.append(_integer(part[2:], text))
         else:
             raise SystemExit2(f"cannot parse abelian group component {part!r}")
+    if rank < 0 or any(d < 1 for d in torsion):
+        raise SystemExit2(f"abelian group {text!r}: ranks must be at least 0"
+                          " and orders at least 1")
     return AbelianGroup(rank, tuple(sorted(torsion)))
 
 
@@ -172,48 +184,42 @@ def cmd_abelianize(args) -> int:
     return OK
 
 
-def _charvar_lines(pres: Presentation):
-    ab = abelianization(pres)
-    if ab.rank == 0:
-        torus = charvar_finite_torus(pres)
-        lines = [f"character torus: {torus.group} (all characters of"
-                 f" order dividing {torus.modulus})"]
+def _charvar_lines(variety):
+    if isinstance(variety, FiniteTorusVariety):
+        lines = [f"character torus: {variety.group} (all characters of"
+                 f" order dividing {variety.modulus})"]
         strata = {}
         k = 1
         while True:
-            stratum = torus.stratum(k)
+            stratum = variety.stratum(k)
             if not stratum:
                 lines.append(f"V{k} = {{}}")
                 strata[k] = []
                 break
-            lines.append(f"V{k} = " + torus.describe(k))
+            lines.append(f"V{k} = " + variety.describe(k))
             strata[k] = [list(chi.exponents) for chi in stratum]
             k += 1
-        return lines, {"mode": "finite-torus", "modulus": torus.modulus,
+        return lines, {"mode": "finite-torus", "modulus": variety.modulus,
                        "strata": {str(k): v for k, v in strata.items()}}
-    if ab.rank == 1 and not ab.torsion:
-        variety = charvar_rank_one(pres)
-        lines = ["character torus: C*"]
-        doc = {}
-        for k in range(1, len(variety.strata) + 1):
-            s = variety.stratum(k)
-            lines.append(f"V{k} = " + s.describe())
-            doc[str(k)] = {
-                "full": s.full,
-                "cyclotomic": {str(n): m for n, m in sorted(s.cyclotomic.items())},
-                "residual": str(s.residual),
-                "includes_one": s.includes_one,
-            }
-            if s.is_empty():
-                break
-        return lines, {"mode": "rank-one", "strata": doc}
-    raise CharVarError("mixed free and torsion homology: only per-character"
-                       " twisted dimensions are available")
+    lines = ["character torus: C*"]
+    doc = {}
+    for k in range(1, len(variety.strata) + 1):
+        s = variety.stratum(k)
+        lines.append(f"V{k} = " + s.describe())
+        doc[str(k)] = {
+            "full": s.full,
+            "cyclotomic": {str(n): m for n, m in sorted(s.cyclotomic.items())},
+            "residual": str(s.residual),
+            "includes_one": s.includes_one,
+        }
+        if s.is_empty():
+            break
+    return lines, {"mode": "rank-one", "strata": doc}
 
 
 def cmd_charvar(args) -> int:
-    pres = load_presentation(args)
-    lines, doc = _charvar_lines(pres)
+    variety = characteristic_variety(load_presentation(args))
+    lines, doc = _charvar_lines(variety)
     emit(args, lines, {"command": "charvar", **doc})
     return OK
 
@@ -323,7 +329,8 @@ def cmd_obstruct(args) -> int:
         })
         return OK if report.verdict == "candidates" else NEGATIVE
     pres = load_presentation(args)
-    report = orbifold.obstruct_infinite_rank_one(pres)
+    report = orbifold.obstruct_infinite_rank_one(
+        pres, characteristic_variety(pres))
     lines = [f"verdict: {report.verdict}"]
     for comp in report.comparisons:
         state = "excluded" if comp.excluded else "not excluded"
@@ -339,22 +346,14 @@ def cmd_obstruct(args) -> int:
     return NEGATIVE if report.verdict == "no-surjection" else OK
 
 
-def _target_order(name: str) -> int:
-    text = name.partition("-")[2]
-    try:
-        return int(text)
-    except ValueError:
-        raise SystemExit2(f"bad order {text!r} in target {name!r}") from None
-
-
 def target_mult_table(name: str) -> cosets.MultTable:
     if name.startswith("cyclic-"):
-        n = _target_order(name)
+        n = _integer(name[len("cyclic-"):], name)
         if n < 1:
             raise SystemExit2(f"target {name!r}: cyclic-N needs N >= 1")
         return cosets.cyclic_table(n)
     if name.startswith("dihedral-"):
-        n = _target_order(name)
+        n = _integer(name[len("dihedral-"):], name)
         if n < 2 or n % 2:
             raise SystemExit2(
                 f"target {name!r}: dihedral-N needs an even N >= 2")
@@ -452,11 +451,12 @@ def cmd_pipeline(args) -> int:
     lines.append(f"projective abelianization: {ab5}")
     doc["projective_abelianization"] = str(ab5)
 
-    cv_lines, cv_doc = _charvar_lines(simplified)
+    variety = characteristic_variety(simplified)
+    cv_lines, cv_doc = _charvar_lines(variety)
     lines.extend(cv_lines)
     doc["charvar"] = cv_doc
 
-    report = orbifold.obstruct_infinite_rank_one(simplified)
+    report = orbifold.obstruct_infinite_rank_one(simplified, variety)
     lines.append(f"infinite-orbifold obstruction: {report.verdict}")
     for comp in report.comparisons:
         state = "excluded" if comp.excluded else "not excluded"

@@ -16,6 +16,7 @@ from itertools import product
 
 from . import fpgroups
 from .abelian import AbelianGroup
+from .exactalg import prime_divisors
 from .fpgroups import Presentation, Word, invert, multiply, reduce_word
 
 
@@ -484,20 +485,6 @@ def regular_rep(table: CosetTable) -> MultTable:
     return MultTable(size, mult, 0, gens)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def abelian_invariants_of_subset(mt: MultTable, elements) -> AbelianGroup:
     """Invariant factors of a finite abelian subgroup given by its elements.
 
@@ -507,7 +494,7 @@ def abelian_invariants_of_subset(mt: MultTable, elements) -> AbelianGroup:
     """
     orders = [mt.element_order(z) for z in elements]
     partitions: dict[int, list[int]] = {}
-    for p in sorted({p for o in orders for p in _prime_factors(o)}):
+    for p in sorted({p for o in orders for p in prime_divisors(o)}):
         maxpow = max(_p_part(o, p) for o in orders)
         at_least = []      # at_least[k-1] = #{i : lambda_i >= k}
         prev = 0

@@ -200,7 +200,7 @@ def poly_xgcd(a: UniPoly, b: UniPoly):
     return r0.monic(), s0 * inv, t0 * inv
 
 
-def _prime_divisors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending, by trial division."""
     primes = []
     d = 2
@@ -217,7 +217,7 @@ def _prime_divisors(n: int) -> list[int]:
 
 def _mobius_divisors(n: int) -> tuple[int, list[tuple[int, bool]]]:
     """rad(n), and (d, whether mu(rad(n)/d) = 1) for each divisor d of it."""
-    primes = _prime_divisors(n)
+    primes = prime_divisors(n)
     rad = prod(primes)
     divisors = []
     for chosen in range(1 << len(primes)):
@@ -228,7 +228,7 @@ def _mobius_divisors(n: int) -> tuple[int, list[tuple[int, bool]]]:
 
 def euler_phi(n: int) -> int:
     """Euler's totient, n * prod(1 - 1/p) over the primes p dividing n."""
-    primes = _prime_divisors(n)
+    primes = prime_divisors(n)
     return n // prod(primes) * prod(p - 1 for p in primes)
 
 
@@ -492,7 +492,7 @@ def _phi_at_most(max_degree: int) -> list[tuple[int, int]]:
     The products are grown depth first, one prime at a time in increasing
     order, and a branch stops as soon as phi would pass max_degree.
     """
-    primes = [p for p in range(2, max_degree + 2) if _prime_divisors(p) == [p]]
+    primes = [p for p in range(2, max_degree + 2) if prime_divisors(p) == [p]]
     found: list[tuple[int, int]] = []
 
     def grow(n: int, phi: int, first: int) -> None:

@@ -199,7 +199,7 @@ def _syllables(w: Word):
 # [a, b] = a b a^-1 b^-1 and conj(a, b) = a b a^-1.  "conj" is an atom only
 # when "(" follows and no generator is named conj.  Words are freely reduced,
 # never cyclically.  Monodromy files (braids.parse_monodromy) and subgroup
-# specs use this word grammar through parse_word.
+# specs use this word grammar through parse_word and parse_words.
 
 _PUNCT = set("();*^=[],")
 
@@ -364,6 +364,15 @@ def parse_word(text: str, index: dict[str, int], line: int = 1) -> Word:
     if parser.peek() is not None:
         parser.fail(f"trailing input {parser.peek()!r}")
     return w
+
+
+def parse_words(text: str, index: dict[str, int]) -> list[Word]:
+    """Parse words one after another until the text ends: 'x*y  [x, y]'."""
+    parser = _Parser(text)
+    words = []
+    while parser.peek() is not None:
+        words.append(parser.parse_word(index))
+    return words
 
 
 def print_presentation(pres: Presentation) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abelianization, surjects_onto
-from .charvar import charvar_finite_torus, charvar_rank_one
+from .charvar import FiniteTorusVariety, RankOneVariety
 from .cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from .fpgroups import Presentation, commutator, multiply, power
 from .nilpotent import lcs_quotients
@@ -52,14 +52,18 @@ def parse_signature(text: str) -> OrbifoldSignature:
     mults: tuple[int, ...] = ()
     for field in text.replace(";", " ").split():
         key, _, value = field.partition("=")
-        if key == "g":
-            genus = int(value)
-        elif key == "k":
-            punctures = int(value)
-        elif key == "m":
-            mults = tuple(int(v) for v in value.split(",") if v)
-        else:
+        if key not in ("g", "k", "m"):
             raise ValueError(f"unknown signature field {key!r}")
+        try:
+            if key == "g":
+                genus = int(value)
+            elif key == "k":
+                punctures = int(value)
+            else:
+                mults = tuple(int(v) for v in value.split(",") if v)
+        except ValueError:
+            raise ValueError(f"expected integers in signature field"
+                             f" {field!r}") from None
     return OrbifoldSignature(genus, punctures, mults)
 
 
@@ -240,7 +244,9 @@ class InfiniteObstructionReport:
     comparisons: list[TargetComparison]
 
 
-def obstruct_infinite_rank_one(pres: Presentation) -> InfiniteObstructionReport:
+def obstruct_infinite_rank_one(pres: Presentation,
+                               variety: FiniteTorusVariety | RankOneVariety
+                               ) -> InfiniteObstructionReport:
     """The two-step elimination of infinite orbifold targets.
 
     Any geometric surjection of a rank-one curve-complement group onto an
@@ -251,24 +257,21 @@ def obstruct_infinite_rank_one(pres: Presentation) -> InfiniteObstructionReport:
     surjection would map kernel onto kernel, so every graded quotient of the
     lower central series must dominate the target's; the genus-2 surface
     kernel has degree-2/3 ranks 5 and 16.
+
+    ``variety`` is the characteristic variety of ``pres``, as
+    ``charvar.characteristic_variety`` computes it.
     """
     ab = abelianization(pres)
     comparisons: list[TargetComparison] = []
     sig2510 = OrbifoldSignature(0, 0, (2, 5, 10))
     sig2255 = OrbifoldSignature(0, 0, (2, 2, 5, 5))
 
-    if ab.rank == 1 and not ab.torsion:
-        variety = charvar_rank_one(pres)
-        v1_prim10 = variety.stratum(1).contains_primitive(10)
-        v2_prim10 = variety.stratum(2).contains_primitive(10)
-    elif ab.rank == 0 and ab.exponent() % 10 == 0:
-        torus = charvar_finite_torus(pres)
-        prim10 = [chi for chi, _ in torus.depths if chi.order() == 10]
-        v1_prim10 = bool(prim10) and all(torus.depth(c) >= 1 for c in prim10)
-        v2_prim10 = bool(prim10) and all(torus.depth(c) >= 2 for c in prim10)
-    else:
+    if not (ab.rank == 1 and not ab.torsion
+            or ab.rank == 0 and ab.exponent() % 10 == 0):
         raise ValueError("expected abelianization Z (or finite of exponent"
                          " divisible by 10)")
+    v1_prim10 = variety.contains_primitive(1, 10)
+    v2_prim10 = variety.contains_primitive(2, 10)
 
     if not v1_prim10:
         ev = ["primitive 10th roots are not in V_1 of the group, but lie in"

@@ -20,6 +20,7 @@ from meridian.braids import (
     zvk_presentation,
 )
 from meridian.charvar import (
+    characteristic_variety,
     charvar_finite_torus,
     charvar_rank_one,
     fox_derivative,
@@ -177,7 +178,7 @@ def test_acceptance_5_subgroup_invariants(affine, presets):
     assert (k1_lcs.degree(2).rank, k1_lcs.degree(2).torsion) == (2, ())
     assert (k1_lcs.degree(3).rank, k1_lcs.degree(3).torsion) == (0, (5,))
 
-    report = obstruct_infinite_rank_one(affine)
+    report = obstruct_infinite_rank_one(affine, characteristic_variety(affine))
     assert report.verdict == "no-surjection"
     assert all(c.excluded for c in report.comparisons)
     print("ACCEPTANCE 5 PASS: genus-2 kernel has H_1 = Z^4 with lcs ranks"

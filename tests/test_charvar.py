@@ -6,6 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from meridian.abelian import Character, abelianization, characters_of_order_dividing
 from meridian.charvar import (
     CharVarError,
+    FiniteTorusVariety,
+    RankOneVariety,
+    characteristic_variety,
     charvar_finite_torus,
     charvar_rank_one,
     fox_derivative,
@@ -159,6 +162,28 @@ class TestFiniteTorus:
         with pytest.raises(CharVarError):
             charvar_finite_torus(presets["degtyarev-affine"])
 
+    @pytest.mark.parametrize("name", ["p1-2-5-10", "p1-2-2-5-5", "c-2-3"])
+    def test_contains_primitive_against_twisted_dims(self, presets, name):
+        pres = presets[name]
+        v = characteristic_variety(pres)
+        group = abelianization(pres)
+        for n in range(2, 13):
+            dims = [twisted_h1_dim(pres, chi)
+                    for chi in characters_of_order_dividing(group, n)
+                    if chi.order() == n]
+            for k in (1, 2, 3):
+                assert v.contains_primitive(k, n) == \
+                    (bool(dims) and min(dims) >= k), (n, k)
+
+    def test_contains_primitive_tenth_roots(self, presets):
+        v2510 = charvar_finite_torus(presets["p1-2-5-10"])
+        assert v2510.contains_primitive(1, 10)
+        assert not v2510.contains_primitive(2, 10)
+        v2255 = charvar_finite_torus(presets["p1-2-2-5-5"])
+        assert v2255.contains_primitive(2, 10)
+        assert not v2255.contains_primitive(3, 10)
+        assert not charvar_finite_torus(presets["c-2-3"]).contains_primitive(1, 10)
+
     def test_nesting(self, presets):
         for name in ("p1-2-5-10", "p1-2-2-5-5", "c-2-3"):
             v = charvar_finite_torus(presets[name])
@@ -168,6 +193,18 @@ class TestFiniteTorus:
 
 def set_of(chars):
     return {c.exponents for c in chars}
+
+
+class TestCharacteristicVariety:
+    def test_mode_follows_abelianization(self, presets):
+        assert isinstance(characteristic_variety(presets["c-2-3"]),
+                          FiniteTorusVariety)
+        assert isinstance(characteristic_variety(presets["degtyarev-affine"]),
+                          RankOneVariety)
+
+    def test_mixed_abelianization_rejected(self):
+        with pytest.raises(CharVarError, match="abelianization Z x Z/2"):
+            characteristic_variety(parse_presentation("gens x y; rel y^2;"))
 
 
 class TestRankOne:
@@ -277,11 +314,11 @@ def rank_one_presentations(draw):
 @settings(max_examples=150)
 @given(rank_one_presentations())
 def test_rank_one_strata_against_twisted_dims(pres):
-    v = charvar_rank_one(pres)
+    v = characteristic_variety(pres)
     for k in (1, 2, 3):
         residual = v.stratum(k).residual
         assert residual.degree < 1 or residual.coeffs[0] != 0
     for n in range(2, 13):
         dim = twisted_h1_dim(pres, Character(n, (1,)))
         for k in (1, 2, 3):
-            assert (dim >= k) == v.stratum(k).contains_primitive(n)
+            assert (dim >= k) == v.contains_primitive(k, n)

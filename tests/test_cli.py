@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import meridian.charvar
+from meridian import cli
 from meridian.cli import preset_text
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from meridian.fpgroups import parse_presentation, print_presentation
 
 MODULE = [sys.executable, "-m", "meridian.cli"]
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def run(*args, env_extra=None):
@@ -154,12 +158,27 @@ class TestExitCodes:
         (("obstruct", "--finite", "-4"), "--finite must be at least 1"),
         (("homs", "--preset", "free2", "--target", "cyclic-2", "--cap", "-1"),
          "--cap must be at least 0"),
+        (("order", "--preset", "c-2-3", "--subgroup", "kernel Z/0 x->1"),
+         "kernel target moduli must be at least 1"),
+        (("obstruct", "--finite", "12", "--ab", "Z/0"),
+         "abelian group 'Z/0': ranks must be at least 0 and orders at least 1"),
+        (("obstruct", "--finite", "12", "--ab", "Z^-1"),
+         "abelian group 'Z^-1': ranks must be at least 0 and orders at least 1"),
     ])
     def test_out_of_range_numbers_are_exit_two(self, args, message):
         out = run(*args)
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["charvar", "obstruct"])
+    @pytest.mark.parametrize("preset,ab", [("free2", "Z^2"), ("genus2", "Z^4")])
+    def test_unsupported_abelianization_is_named(self, command, preset, ab):
+        out = run(command, "--preset", preset)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == (f"error: abelianization {ab}: characteristic"
+                              " varieties need a finite abelianization or Z\n")
 
     def test_obstruct_negative(self):
         out = run("obstruct", "--finite", "320", "--ab", "Z/5")
@@ -190,6 +209,46 @@ class TestSubgroupSpecWords:
         out = run("order", "--preset", "c-2-3", "--subgroup", "gens x*z")
         assert out.returncode == 2
         assert out.stderr == "error: 1:3: undeclared generator 'z'\n"
+
+    @pytest.mark.parametrize("spec,index", [
+        ("gens [x, y]", 2), ("gens [x,y]", 2), ("gens x*y  y^2", 1),
+    ])
+    def test_words_may_contain_spaces(self, tmp_path, spec, index):
+        path = tmp_path / "s3.grp"
+        path.write_text("gens x y; rel x^2; rel y^3; rel (x*y)^2;\n")
+        out = run("order", str(path), "--subgroup", spec)
+        assert out.returncode == 0
+        assert out.stdout == f"index {index}\n"
+
+
+class TestMalformedInputMessages:
+    """Malformed numbers and statements are reported in the program's own
+    words, never as Python's int() or unpacking errors."""
+
+    def check(self, out, message):
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"error: {message}\n"
+        assert "invalid literal" not in out.stderr
+        assert "unpack" not in out.stderr
+
+    def test_braid_statement_without_colon(self, tmp_path):
+        path = tmp_path / "bad.braid"
+        path.write_text("strands 3;\npath a s1;\n")
+        self.check(run("zvk", str(path)), "2:1: expected 'path <name>: ...'")
+
+    def test_kernel_modulus(self):
+        self.check(run("order", "--preset", "c-2-3",
+                       "--subgroup", "kernel Z/x x->1"),
+                   "expected an integer in 'Z/x'")
+
+    def test_finite_abelianization(self):
+        self.check(run("obstruct", "--finite", "320", "--ab", "Z/x"),
+                   "expected an integer in 'Z/x'")
+
+    def test_orbifold_multiplicity(self):
+        self.check(run("charvar", "--orbifold", "g=0 k=0 m=2,x"),
+                   "expected integers in signature field 'm=2,x'")
 
 
 class TestRankOneCharvar:
@@ -282,6 +341,33 @@ class TestDeterminismAndJson:
         assert "V2 = {}" in text
         assert "infinite-orbifold obstruction: no-surjection" in text
         assert "finite-orbifold obstruction for the projective group: no-target" in text
+
+    @pytest.mark.parametrize("args,golden", [
+        (("pipeline", "--preset", "degtyarev"), "pipeline-text.out"),
+        (("--json", "pipeline", "--preset", "degtyarev"), "pipeline-json.out"),
+    ])
+    def test_pipeline_matches_golden(self, args, golden):
+        out = subprocess.run(MODULE + list(args), capture_output=True)
+        assert out.returncode == 0
+        assert out.stdout == (GOLDEN / golden).read_bytes()
+
+    def test_pipeline_computes_rank_one_variety_once(self, monkeypatch, capsys):
+        calls = []
+        original = meridian.charvar.charvar_rank_one
+
+        def counted(pres):
+            calls.append(pres)
+            return original(pres)
+
+        # every module that holds the function, however it was imported
+        for name, module in list(sys.modules.items()):
+            if name.startswith("meridian") and \
+                    getattr(module, "charvar_rank_one", None) is original:
+                monkeypatch.setattr(module, "charvar_rank_one", counted)
+        assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
+        assert "infinite-orbifold obstruction: no-surjection" in \
+            capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_pipeline_on_table1(self):
         out = run("pipeline", "--preset", "degtyarev-table1")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from meridian.abelian import AbelianGroup, abelianization
+from meridian.charvar import characteristic_variety
 from meridian.cosets import todd_coxeter
 from meridian.fpgroups import parse_presentation, print_presentation
 from meridian.orbifold import (
@@ -147,7 +148,8 @@ class TestObstructFinite:
 
 class TestObstructInfinite:
     def test_affine_degtyarev_excludes_both(self, presets):
-        report = obstruct_infinite_rank_one(presets["degtyarev-affine"])
+        pres = presets["degtyarev-affine"]
+        report = obstruct_infinite_rank_one(pres, characteristic_variety(pres))
         assert report.verdict == "no-surjection"
         excluded = {str(c.target): c.excluded for c in report.comparisons}
         assert excluded == {"g=0 k=0 m=2,2,5,5": True, "g=0 k=0 m=2,5,10": True}
@@ -155,17 +157,20 @@ class TestObstructInfinite:
         assert "Z^5" in evidence and "Z^4" in evidence
 
     def test_orbifold_itself_is_not_excluded(self, presets):
-        report = obstruct_infinite_rank_one(presets["p1-2-5-10"])
+        pres = presets["p1-2-5-10"]
+        report = obstruct_infinite_rank_one(pres, characteristic_variety(pres))
         assert report.verdict == "not-excluded"
         by_target = {str(c.target): c for c in report.comparisons}
         assert not by_target["g=0 k=0 m=2,5,10"].excluded
         assert by_target["g=0 k=0 m=2,2,5,5"].excluded
 
     def test_free_rank_one_fails_v1_condition(self):
-        report = obstruct_infinite_rank_one(parse_presentation("gens x;"))
+        pres = parse_presentation("gens x;")
+        report = obstruct_infinite_rank_one(pres, characteristic_variety(pres))
         assert report.verdict == "no-surjection"
         assert all(c.excluded for c in report.comparisons)
 
     def test_wrong_mode(self, presets):
+        pres = presets["c-2-3"]
         with pytest.raises(ValueError):
-            obstruct_infinite_rank_one(presets["c-2-3"])
+            obstruct_infinite_rank_one(pres, characteristic_variety(pres))
