@@ -1,13 +1,21 @@
 """Integer matrix Smith normal form and abelian invariants of presentations.
 
 Matrices are plain lists of lists of Python ints, so all arithmetic is
-arbitrary precision.  The Smith form carries the unimodular transforms, which
-is what lets us express generators in the canonical coordinates of the
-abelianization.
+arbitrary precision.  Two routines quotient Z^n by a lattice:
+
+- ``smith_normal_form`` carries the unimodular transforms.  Callers that need
+  coordinates use them: ``abelianization`` reads V to express generators in
+  the canonical coordinates of the abelianization, and the integer kernel in
+  ``nilpotent`` reads U.
+- ``quotient_invariants`` returns only rank and torsion.  It builds no
+  transform and first brings the rows to Hermite normal form, so it handles
+  the tall relation matrices of the lower-central-series quotients and any
+  caller that needs invariants alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -183,6 +191,81 @@ class AbelianGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " x ".join(parts) if parts else "1"
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _reduce_above(basis: dict[int, list[int]], low: int) -> None:
+    """Reduce the entries above every pivot in column >= low into [0, pivot).
+
+    Each row is reduced left to right, since reducing at one pivot column
+    only changes the columns after it.
+    """
+    pivots = sorted(basis)
+    for p in reversed(pivots):
+        row = basis[p]
+        for c in pivots:
+            if c > p and c >= low:
+                q = row[c] // basis[c][c]
+                if q:
+                    row = [x - q * y for x, y in zip(row, basis[c])]
+        basis[p] = row
+
+
+def quotient_invariants(rows: Iterable[Sequence[int]], dim: int) -> AbelianGroup:
+    """Rank and torsion of Z^dim modulo the span of the rows, no transforms.
+
+    The rows enter one at a time into an echelon basis with positive pivots.
+    A row meeting a pivot it does not divide replaces that pivot row by an
+    extended-gcd combination of the two and goes on with the other.  After
+    every change of the basis the entries above each pivot are reduced into
+    [0, pivot), which keeps the basis in Hermite normal form; without it the
+    entries grow to thousands of bits.  A pivot of 1 is then alone in its
+    column, so its row and column split off a trivial summand, and only the
+    rows with larger pivots go to ``smith_normal_form``.
+    """
+    basis: dict[int, list[int]] = {}    # pivot column -> row
+    for row in rows:
+        row = list(row)
+        low = dim    # leftmost pivot column this row changed
+        col = 0
+        while True:
+            col = next((c for c in range(col, dim) if row[c]), dim)
+            if col == dim:
+                break
+            piv = basis.get(col)
+            if piv is None:
+                basis[col] = row if row[col] > 0 else [-x for x in row]
+                low = min(low, col)
+                break
+            a, b = piv[col], row[col]
+            q, r = divmod(b, a)
+            if r:
+                g, s, t = _xgcd(a, b)
+                basis[col] = [s * x + t * y for x, y in zip(piv, row)]
+                a, b = a // g, b // g
+                row = [a * y - b * x for x, y in zip(piv, row)]
+                low = min(low, col)
+            else:
+                row[col:] = [y - q * x for x, y in zip(piv[col:], row[col:])]
+        if low < dim:
+            _reduce_above(basis, low)
+    rest = [c for c in range(dim) if c not in basis or basis[c][c] > 1]
+    matrix = [[row[c] for c in rest] for p, row in basis.items()
+              if row[p] > 1]
+    diagonal = smith_normal_form(matrix).diagonal if matrix else []
+    return AbelianGroup(dim - len(basis), tuple(d for d in diagonal if d > 1))
 
 
 def exponent_matrix(pres: Presentation) -> IntMatrix:

@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 
 from . import braids, cosets, curves, orbifold
-from .abelian import AbelianGroup, abelianization
+from .abelian import AbelianGroup, abelianization, quotient_invariants
 from .charvar import CharVarError, FiniteTorusVariety, characteristic_variety
 from .cosets import CosetOverflow, InvalidSubgroup, SearchCapExceeded, SubgroupSpec
 from .fpgroups import (
@@ -122,7 +122,11 @@ def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
 
 
 def parse_abelian(text: str) -> AbelianGroup:
-    """Parse 'Z^2 x Z/3 x Z/6' style descriptions."""
+    """Parse 'Z^2 x Z/3 x Z/6' style descriptions into invariant factors.
+
+    The factors may be typed in any order and need not divide each other:
+    'Z/2 x Z/2 x Z/3' is Z/2 x Z/6, and a factor Z/1 vanishes.
+    """
     text = text.strip()
     if text in ("1", "0", "trivial"):
         return AbelianGroup(0, ())
@@ -141,7 +145,10 @@ def parse_abelian(text: str) -> AbelianGroup:
     if rank < 0 or any(d < 1 for d in torsion):
         raise SystemExit2(f"abelian group {text!r}: ranks must be at least 0"
                           " and orders at least 1")
-    return AbelianGroup(rank, tuple(sorted(torsion)))
+    k = len(torsion)
+    finite = quotient_invariants(
+        ([d if j == i else 0 for j in range(k)] for i, d in enumerate(torsion)), k)
+    return AbelianGroup(rank, finite.torsion)
 
 
 def emit(args, text_lines, doc):

@@ -28,10 +28,15 @@ surface-group oracles in the test suite pin this construction down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .abelian import AbelianGroup, abelianization, exponent_matrix, smith_normal_form
+from .abelian import (
+    AbelianGroup,
+    abelianization,
+    exponent_matrix,
+    quotient_invariants,
+    smith_normal_form,
+)
 from .fpgroups import Presentation, Word, conjugate, invert, multiply, power
 
 
@@ -191,9 +196,10 @@ def _lie3_leads(n: int):
     """Each degree-3 Hall tensor indexed by its lex-largest monomial.
 
     For [[e_i,e_j],e_k] (i > j, k >= j) the largest of its monomials is
-    (i,j,k) when k < i, (k,i,j) when k > i, and (i,j,i) with coefficient 2
-    when k = i; these lead monomials are pairwise distinct, so peeling the
-    current largest monomial solves the coordinate problem triangularly.
+    (i,j,k) with coefficient 1 when k < i, (k,i,j) with coefficient -1 when
+    k > i, and (i,i,j) with coefficient -1 when k = i; these lead monomials
+    are pairwise distinct, so peeling the current largest monomial solves the
+    coordinate problem triangularly, in integers since every lead is +-1.
     """
     leads = {}
     for idx, triple in enumerate(HallBasis(n).degree3):
@@ -206,27 +212,20 @@ def _lie3_leads(n: int):
 def _lie3_coords(d3: dict, n: int) -> list[int]:
     """Coordinates of a degree-3 Lie tensor in the Hall basis."""
     leads = _lie3_leads(n)
-    acc = {m: Fraction(c) for m, c in d3.items() if c}
-    coords = [Fraction(0)] * free_lie_ranks(n, 3)
+    acc = {m: c for m, c in d3.items() if c}
+    coords = [0] * free_lie_ranks(n, 3)
     while acc:
         m = max(acc)
         if m not in leads:
             raise ArithmeticError("degree-3 part is not a Lie element")
         idx, lead_coeff, tensor = leads[m]
-        f = acc[m] / lead_coeff
+        f, rem = divmod(acc[m], lead_coeff)
+        if rem:
+            raise ArithmeticError("non-integral Hall coordinates")
         coords[idx] += f
         for mono, c in tensor.items():
-            v = acc.get(mono, Fraction(0)) - f * c
-            if v:
-                acc[mono] = v
-            else:
-                acc.pop(mono, None)
-    out = []
-    for c in coords:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integral Hall coordinates")
-        out.append(int(c))
-    return out
+            _bump(acc, mono, -f * c)
+    return coords
 
 
 # --- relation lattices ------------------------------------------------------------
@@ -239,15 +238,6 @@ def _integer_row_kernel(matrix: list[list[int]]) -> list[list[int]]:
     snf = smith_normal_form(matrix)
     r = len(snf.diagonal)
     return [row[:] for row in snf.u[r:]]
-
-
-def _quotient_invariants(rows: list[list[int]], dim: int) -> AbelianGroup:
-    rows = [r for r in rows if any(r)]
-    if not rows or dim == 0:
-        return AbelianGroup(dim, ())
-    snf = smith_normal_form(rows)
-    torsion = tuple(d for d in snf.diagonal if d >= 2)
-    return AbelianGroup(dim - len(snf.diagonal), torsion)
 
 
 @dataclass(frozen=True)
@@ -312,47 +302,49 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
         elif d3:
             rows3_direct.append(_lie3_coords(d3, n))
 
-    # Degree-3 closure generators are commutators of the above against the
-    # generators, [g_k, z], and of relators against basic degree-2 words,
-    # [[g_i,g_j], r]; their expansions are the plain tensor commutators of
-    # the leading parts, everything higher landing in degree 4.
-    for d2 in w1_tensors:
-        if not d2:
-            continue
-        for k in range(1, n + 1):
-            bracket: dict = {}
-            for mono, c in d2.items():
-                _bump(bracket, (k,) + mono, c)
-                _bump(bracket, mono + (k,), -c)
-            if bracket:
-                rows3_direct.append(_lie3_coords(bracket, n))
-    for rel in relators:
-        rho = _clean(magnus(n, rel).d1)
-        if not rho:
-            continue
-        for (i, j) in basis.degree2:
-            bracket = {}
-            for sign, pair in ((1, (i, j)), (-1, (j, i))):
-                for k, c in rho.items():
-                    _bump(bracket, pair + (k,), sign * c)
-                    _bump(bracket, (k,) + pair, -sign * c)
-            if bracket:
-                rows3_direct.append(_lie3_coords(bracket, n))
-
-    gr2 = _quotient_invariants(rows2, dim2)
+    gr2 = quotient_invariants(rows2, dim2)
     if max_class == 2:
         return GradedQuotient((out[0], gr2))
 
-    rows3 = list(rows3_direct)
-    if pending:
-        kernel = _integer_row_kernel([p[0] for p in pending])
-        for kv in kernel:
-            acc: dict = {}
-            for c, (_, d3) in zip(kv, pending):
-                if c:
-                    for m, v in d3.items():
-                        _bump(acc, m, c * v)
-            if acc:
-                rows3.append(_lie3_coords(acc, n))
-    gr3 = _quotient_invariants(rows3, dim3)
+    def rows3():
+        yield from rows3_direct
+        # Degree-3 closure generators are commutators of the above against
+        # the generators, [g_k, z], and of relators against basic degree-2
+        # words, [[g_i,g_j], r]; their expansions are the plain tensor
+        # commutators of the leading parts, everything higher landing in
+        # degree 4.
+        for d2 in w1_tensors:
+            if not d2:
+                continue
+            for k in range(1, n + 1):
+                bracket: dict = {}
+                for mono, c in d2.items():
+                    _bump(bracket, (k,) + mono, c)
+                    _bump(bracket, mono + (k,), -c)
+                if bracket:
+                    yield _lie3_coords(bracket, n)
+        for rel in relators:
+            rho = _clean(magnus(n, rel).d1)
+            if not rho:
+                continue
+            for (i, j) in basis.degree2:
+                bracket = {}
+                for sign, pair in ((1, (i, j)), (-1, (j, i))):
+                    for k, c in rho.items():
+                        _bump(bracket, pair + (k,), sign * c)
+                        _bump(bracket, (k,) + pair, -sign * c)
+                if bracket:
+                    yield _lie3_coords(bracket, n)
+        if pending:
+            kernel = _integer_row_kernel([p[0] for p in pending])
+            for kv in kernel:
+                acc: dict = {}
+                for c, (_, d3) in zip(kv, pending):
+                    if c:
+                        for m, v in d3.items():
+                            _bump(acc, m, c * v)
+                if acc:
+                    yield _lie3_coords(acc, n)
+
+    gr3 = quotient_invariants(rows3(), dim3)
     return GradedQuotient((out[0], gr2, gr3))

@@ -1,10 +1,13 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from meridian.abelian import (
     AbelianGroup,
     abelianization,
     characters_of_order_dividing,
     mat_mul,
+    quotient_invariants,
     smith_normal_form,
     surjects_onto,
 )
@@ -68,6 +71,94 @@ class TestSmithNormalForm:
             rng.shuffle(cols)
             shuffled = [[row[j] for j in cols] for row in rows]
             assert smith_normal_form(shuffled).diagonal == base
+
+
+def smith_quotient(rows, dim):
+    """Oracle: Z^dim modulo the rows, read off the Smith diagonal."""
+    diagonal = smith_normal_form(rows).diagonal if rows else []
+    return AbelianGroup(dim - len(diagonal), tuple(d for d in diagonal if d > 1))
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 8x8, entries in [-3, 3], with zero and repeated rows mixed in."""
+    dim = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("new", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([0] * dim)
+        elif kind == "repeat" and rows:
+            sign = draw(st.sampled_from((1, -1)))
+            rows.append([sign * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(st.integers(-3, 3),
+                                      min_size=dim, max_size=dim)))
+    return rows, dim
+
+
+@st.composite
+def planted_quotients(draw):
+    """rows = U * D * V for unimodular U, V and a divisor chain on D.
+
+    U and V are products of random elementary operations; the quotient is
+    known from D alone: the chain's entries above 1, and one free summand per
+    column without a diagonal entry.
+    """
+    dim = draw(st.integers(1, 40))
+    height = draw(st.integers(1, 200))
+    rng = draw(st.randoms(use_true_random=False))
+    chain = [rng.choice((1, 1, 2))]
+    for _ in range(rng.randint(0, min(dim, height)) - 1):
+        chain.append(chain[-1] * rng.choice((1, 1, 1, 2, 3)))
+    rows = [[chain[i] if i == j and i < len(chain) else 0 for j in range(dim)]
+            for i in range(height)]
+    for _ in range(2 * height if height > 1 else 0):
+        i, j = rng.sample(range(height), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    for _ in range(2 * dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-1, 1))
+        for row in rows:
+            row[j] += c * row[i]
+    rng.shuffle(rows)
+    expected = AbelianGroup(dim - len(chain), tuple(d for d in chain if d > 1))
+    return rows, dim, expected
+
+
+class TestQuotientInvariants:
+    @settings(max_examples=400)
+    @given(small_matrices())
+    def test_matches_smith_diagonal(self, case):
+        rows, dim = case
+        assert quotient_invariants(rows, dim) == smith_quotient(rows, dim)
+
+    @settings(max_examples=30)
+    @given(planted_quotients())
+    def test_planted_torsion(self, case):
+        rows, dim, expected = case
+        assert quotient_invariants(rows, dim) == expected
+
+    def test_accepts_a_generator(self):
+        rows = ([2 * i, 4] for i in range(3))
+        assert quotient_invariants(rows, 2) == AbelianGroup(0, (2, 4))
+
+    def test_degenerate_shapes(self):
+        assert quotient_invariants([], 3) == AbelianGroup(3, ())
+        assert quotient_invariants([[0, 0]], 2) == AbelianGroup(2, ())
+        assert quotient_invariants([[], []], 0) == AbelianGroup(0, ())
+
+    def test_dense_11x7_is_trivial(self):
+        # The exponent matrix of a 7-generator, 11-relator presentation on
+        # which smith_normal_form's entries grow past 200 bits.
+        rows = [[6, -3, -5, 1, -6, 0, 0], [3, 6, 6, -6, 5, 1, -2],
+                [5, 6, -3, 3, -5, -1, -6], [-6, -6, 4, 2, -6, 0, 4],
+                [-3, 0, 5, -6, 2, -3, 6], [1, 1, 2, -3, -1, -3, 4],
+                [-3, 6, 1, -2, -6, 0, 2], [4, -5, -4, 4, 5, -2, -5],
+                [5, -1, 5, 5, 2, 0, 2], [4, -3, -2, -2, 3, 1, 2],
+                [0, 3, -6, 1, -3, 5, 6]]
+        assert quotient_invariants(rows, 7) == AbelianGroup(0, ())
 
 
 class TestAbelianization:

@@ -14,6 +14,7 @@ from meridian.fpgroups import parse_presentation, print_presentation
 
 MODULE = [sys.executable, "-m", "meridian.cli"]
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+INPUTS = GOLDEN.parent / "inputs"
 
 
 def run(*args, env_extra=None):
@@ -179,6 +180,16 @@ class TestExitCodes:
         assert out.stdout == ""
         assert out.stderr == (f"error: abelianization {ab}: characteristic"
                               " varieties need a finite abelianization or Z\n")
+
+    @pytest.mark.parametrize("typed,canonical", [
+        ("Z/2 x Z/2 x Z/3", "Z/6 x Z/2"),
+        ("Z/1 x Z/5", "Z/5"),
+    ])
+    def test_typed_factors_reduce_to_invariant_factors(self, typed, canonical):
+        first = run("obstruct", "--finite", "12", "--ab", typed)
+        second = run("obstruct", "--finite", "12", "--ab", canonical)
+        assert first.returncode == second.returncode
+        assert first.stdout == second.stdout
 
     def test_obstruct_negative(self):
         out = run("obstruct", "--finite", "320", "--ab", "Z/5")
@@ -350,6 +361,14 @@ class TestDeterminismAndJson:
         out = subprocess.run(MODULE + list(args), capture_output=True)
         assert out.returncode == 0
         assert out.stdout == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("kernel", ["kernel-4", "kernel-6"])
+    def test_raw_kernel_lcs_matches_golden(self, kernel):
+        out = subprocess.run(
+            MODULE + ["lcs", "--class", "3", str(INPUTS / f"{kernel}.grp")],
+            capture_output=True)
+        assert out.returncode == 0
+        assert out.stdout == (GOLDEN / f"lcs-raw-{kernel}.out").read_bytes()
 
     def test_pipeline_computes_rank_one_variety_once(self, monkeypatch, capsys):
         calls = []

@@ -15,6 +15,7 @@ from meridian.nilpotent import (
     _bracket_tensor3,
     _clean,
     _lie3_coords,
+    _lie3_leads,
     free_lie_ranks,
     lcs_quotients,
     magnus,
@@ -82,6 +83,12 @@ class TestMagnus:
                         tensor[mono] = tensor.get(mono, 0) + c * v
                 tensor = {m: v for m, v in tensor.items() if v}
                 assert _lie3_coords(tensor, n) == coeffs
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_lie3_leads_are_units(self, n):
+        leads = _lie3_leads(n)
+        assert len(leads) == free_lie_ranks(n, 3)
+        assert all(abs(c) == 1 for _, c, _ in leads.values())
 
     def test_non_lie_tensor_rejected(self):
         with pytest.raises(ArithmeticError):
