@@ -1,10 +1,22 @@
 """Coset enumeration and what it yields: orders, centers, subgroup presentations.
 
-The enumerator is the HLT strategy: scan every relator at every live coset,
-defining new cosets as needed, with a full lookahead pass (scanning without
-defining) when the coset limit is hit.  Tables keep both directions of every
-edge, so generator and inverse actions stay mutually inverse throughout.
-Everything is deterministic for a fixed presentation.
+The enumerator follows Felsch's strategy.  Each relator is compiled once into
+the distinct cyclic conjugates of it and of its inverse, as table columns
+indexed by first letter.  The subgroup generators and then all relator
+conjugates are scanned and filled at coset 0; after that, the first undefined
+entry of the first live coset is defined, one entry at a time.  Every edge
+that gets set (a definition, a deduction, or an edge moved while a
+coincidence collapses) goes on a deduction stack, which is emptied after each
+definition: an edge is processed by scanning, at its source coset, the
+conjugates that start with its letter.  Defining in table order and using
+every deduction at once keeps the cosets defined close to the index.
+Coincidences merge through union-find, the smaller coset surviving.
+
+``max_cosets`` caps the rows of the table, dead ones included; there is no
+lookahead, and reaching the cap raises CosetOverflow.  Tables keep both
+directions of every edge, so generator and inverse actions stay mutually
+inverse.  Each finished table is renumbered in breadth-first order, so the
+output is deterministic and does not depend on the strategy.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .fpgroups import Presentation, Word, invert, multiply, reduce_word
 
 
 class CosetOverflow(RuntimeError):
-    """The enumeration exceeded max_cosets; the index might still be finite."""
+    """The table reached max_cosets rows; the index might still be finite."""
 
     def __init__(self, limit):
         super().__init__(f"coset enumeration exceeded {limit} cosets")
@@ -109,179 +121,160 @@ class CosetTable:
 UNDEF = -1
 
 
-class _TableFull(Exception):
-    pass
+def _columns(word: Word) -> list[int]:
+    """Table columns of a word's letters: g is 2(g-1), g^-1 is 2(g-1)+1."""
+    return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in word]
 
 
-class _Enumerator:
-    """HLT coset enumeration with coincidence handling via union-find."""
+def _relator_conjugates(relators, ncols: int) -> list[list[tuple[int, ...]]]:
+    """Distinct cyclic conjugates of each relator and its inverse, as columns.
 
-    def __init__(self, n_gens: int, relators, subgroup_words, max_cosets: int):
-        self.n = n_gens
-        self.ncols = 2 * n_gens
-        self.relators = [tuple(r) for r in relators]
-        self.subgroup_words = [tuple(w) for w in subgroup_words if w]
-        self.max_cosets = max_cosets
-        self.table: list[list[int]] = [self._new_row()]
-        self.p = [0]
-        self.queue: deque[int] = deque()
+    ``out[col]`` lists the conjugates whose first column is col, shortest
+    relators first.  Only lists are iterated, so the order does not depend on
+    hashing.
+    """
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    seen = set()
+    for rel in sorted(relators, key=len):
+        cols = _columns(rel)
+        for word in (cols, [c ^ 1 for c in reversed(cols)]):
+            for k in range(len(word)):
+                conj = tuple(word[k:] + word[:k])
+                if conj not in seen:
+                    seen.add(conj)
+                    out[conj[0]].append(conj)
+    return out
 
-    def _new_row(self):
-        return [UNDEF] * self.ncols
 
-    @staticmethod
-    def _col(x: int) -> int:
-        return 2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
+def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
+    """Complete coset table as (action, inverse); CosetOverflow at the cap."""
+    ncols = 2 * n_gens
+    starting_with = _relator_conjugates(relators, ncols)
+    table = [[UNDEF] * ncols]
+    parent = [0]
+    deductions: list[tuple[int, int]] = []
 
-    def rep(self, c: int) -> int:
+    def rep(c):
         root = c
-        while self.p[root] != root:
-            root = self.p[root]
-        while self.p[c] != root:
-            self.p[c], c = root, self.p[c]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
-    def _merge(self, a: int, b: int):
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.p[b] = a
-            self.queue.append(b)
+    def coincidence(a, b):
+        """Merge a and b and everything that forces; moved edges are pushed."""
+        queue = deque()
 
-    def _coincidence(self, a: int, b: int):
-        self._merge(a, b)
-        while self.queue:
-            dead = self.queue.popleft()
-            row = self.table[dead]
-            for g in range(1, self.n + 1):
-                for signed in (g, -g):
-                    col = self._col(signed)
-                    delta = row[col]
-                    if delta == UNDEF:
-                        continue
-                    row[col] = UNDEF
-                    back = self._col(-signed)
-                    if self.table[delta][back] == dead:
-                        self.table[delta][back] = UNDEF
-                    mu, nu = self.rep(dead), self.rep(delta)
-                    existing = self.table[mu][col]
-                    if existing != UNDEF:
-                        self._merge(existing, nu)
-                        continue
-                    existing_back = self.table[nu][back]
-                    if existing_back != UNDEF:
-                        self._merge(existing_back, mu)
-                    else:
-                        self.table[mu][col] = nu
-                        self.table[nu][back] = mu
+        def merge(a, b):
+            a, b = rep(a), rep(b)
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+                queue.append(b)
 
-    def _set_edge(self, c: int, signed: int, d: int):
-        self.table[c][self._col(signed)] = d
-        self.table[d][self._col(-signed)] = c
+        merge(a, b)
+        while queue:
+            dead = queue.popleft()
+            row = table[dead]
+            for col in range(ncols):
+                delta = row[col]
+                if delta == UNDEF:
+                    continue
+                row[col] = UNDEF
+                back = col ^ 1
+                if table[delta][back] == dead:
+                    table[delta][back] = UNDEF
+                mu, nu = rep(dead), rep(delta)
+                existing = table[mu][col]
+                if existing != UNDEF:
+                    merge(existing, nu)
+                    continue
+                existing_back = table[nu][back]
+                if existing_back != UNDEF:
+                    merge(existing_back, mu)
+                else:
+                    table[mu][col] = nu
+                    table[nu][back] = mu
+                    deductions.append((mu, col))
 
-    def _define(self, c: int, signed: int) -> int:
-        if len(self.table) >= self.max_cosets:
-            raise _TableFull
-        self.table.append(self._new_row())
-        self.p.append(len(self.table) - 1)
-        d = len(self.table) - 1
-        self._set_edge(c, signed, d)
-        return d
+    def define(c, col):
+        d = len(table)
+        if d >= max_cosets:
+            raise CosetOverflow(max_cosets)
+        row = [UNDEF] * ncols
+        row[col ^ 1] = c
+        table.append(row)
+        parent.append(d)
+        table[c][col] = d
+        deductions.append((c, col))
 
-    def _scan(self, c: int, word, fill: bool):
-        """Trace ``word`` from coset c both ways, filling or deducing."""
+    def scan(c, word, fill):
+        """Trace word from c both ways; deduce at one gap, fill gaps if asked."""
         f, i = c, 0
         b, j = c, len(word) - 1
         while True:
             while i <= j:
-                nxt = self.table[f][self._col(word[i])]
+                nxt = table[f][word[i]]
                 if nxt == UNDEF:
                     break
                 f = nxt
                 i += 1
             if i > j:
                 if f != b:
-                    self._coincidence(f, b)
+                    coincidence(f, b)
                 return
             while j >= i:
-                nxt = self.table[b][self._col(-word[j])]
+                nxt = table[b][word[j] ^ 1]
                 if nxt == UNDEF:
                     break
                 b = nxt
                 j -= 1
             if j < i:
-                self._coincidence(f, b)
+                coincidence(f, b)
                 return
             if i == j:
-                self._set_edge(f, word[i], b)
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                deductions.append((f, word[i]))
                 return
             if not fill:
                 return
-            self._define(f, word[i])
+            define(f, word[i])
 
-    def run(self):
-        while True:
-            try:
-                self._main_pass()
-                break
-            except _TableFull:
-                self._lookahead_and_compact()
-        return self._finish()
-
-    def _main_pass(self):
-        for w in self.subgroup_words:
-            self._scan(0, w, fill=True)
-        alpha = 0
-        while alpha < len(self.table):
-            if self.rep(alpha) != alpha:
-                alpha += 1
+    def process_deductions():
+        # Only the source coset is scanned: a relator cycle that crosses the
+        # edge backwards is a cycle of a conjugate of r^-1 crossing it forwards.
+        while deductions:
+            c, col = deductions.pop()
+            if parent[c] != c:
                 continue
-            for rel in self.relators:
-                self._scan(alpha, rel, fill=True)
-                if self.rep(alpha) != alpha:
+            for word in starting_with[col]:
+                scan(c, word, False)
+                if parent[c] != c:
                     break
-            if self.rep(alpha) == alpha:
-                for g in range(1, self.n + 1):
-                    for signed in (g, -g):
-                        if self.table[alpha][self._col(signed)] == UNDEF:
-                            self._define(alpha, signed)
+
+    for w in subgroup_words:
+        scan(0, _columns(w), True)
+    for words in starting_with:
+        for word in words:
+            scan(0, word, True)
+    process_deductions()
+    alpha = 0
+    while alpha < len(table):
+        row = table[alpha]
+        if parent[alpha] == alpha and UNDEF in row:
+            define(alpha, row.index(UNDEF))
+            process_deductions()
+        else:
             alpha += 1
 
-    def _lookahead_and_compact(self):
-        before = sum(1 for c in range(len(self.table)) if self.rep(c) == c)
-        for c in range(len(self.table)):
-            if self.rep(c) != c:
-                continue
-            for rel in self.relators:
-                self._scan(c, rel, fill=False)
-                if self.rep(c) != c:
-                    break
-        live = [c for c in range(len(self.table)) if self.rep(c) == c]
-        # no-progress guard: thrashing at the cap means the index is out of reach
-        if len(live) >= self.max_cosets or len(live) == before:
-            raise CosetOverflow(self.max_cosets)
-        remap = {c: i for i, c in enumerate(live)}
-        new_table = []
-        for c in live:
-            row = []
-            for col in range(self.ncols):
-                d = self.table[c][col]
-                row.append(UNDEF if d == UNDEF else remap[self.rep(d)])
-            new_table.append(row)
-        self.table = new_table
-        self.p = list(range(len(live)))
-        self.queue.clear()
-
-    def _finish(self):
-        live = [c for c in range(len(self.table)) if self.rep(c) == c]
-        remap = {c: i for i, c in enumerate(live)}
-        action = [[0] * len(live) for _ in range(self.n)]
-        for c in live:
-            for g in range(1, self.n + 1):
-                d = self.table[c][self._col(g)]
-                action[g - 1][remap[c]] = remap[self.rep(d)]
-        inverse = [_invert_perm(perm) for perm in action]
-        return action, inverse
+    live = [c for c in range(len(table)) if parent[c] == c]
+    remap = {c: i for i, c in enumerate(live)}
+    action = [[remap[rep(table[c][2 * g])] for c in live]
+              for g in range(n_gens)]
+    return action, [_invert_perm(perm) for perm in action]
 
 
 def _invert_perm(perm):
@@ -362,8 +355,8 @@ def todd_coxeter(pres: Presentation, subgroup: SubgroupSpec | None = None,
         subgroup = SubgroupSpec.trivial()
     if subgroup.kernel is not None:
         return _kernel_table(pres, subgroup)
-    enum = _Enumerator(pres.rank, pres.relators, subgroup.words, max_cosets)
-    action, inverse = enum.run()
+    action, inverse = _felsch(pres.rank, pres.relators, subgroup.words,
+                              max_cosets)
     action, inverse = _standardize(action, inverse)
     return CosetTable(pres.rank, action, inverse, subgroup)
 
@@ -423,21 +416,30 @@ class MultTable:
             acc = self.table[acc][e]
         return acc
 
-    def closure(self, seed) -> set[int]:
-        """Subgroup generated by the seed (in a finite group products suffice)."""
+    def generates(self, seed) -> bool:
+        """Whether the seed generates the whole group.
+
+        The subgroup is grown by products with the seed and the answer is
+        yes as soon as it holds more than half the group: by Lagrange no
+        proper subgroup is that large.
+        """
         seed = sorted(set(seed))
-        seen = set(seed) | {self.identity}
-        frontier = sorted(seen)
+        reached = set(seed) | {self.identity}
+        half = self.size // 2
+        frontier = sorted(reached)
         while frontier:
             nxt = []
             for a in frontier:
+                row = self.table[a]
                 for s in seed:
-                    b = self.table[a][s]
-                    if b not in seen:
-                        seen.add(b)
+                    b = row[s]
+                    if b not in reached:
+                        reached.add(b)
                         nxt.append(b)
+                if len(reached) > half:
+                    return True
             frontier = nxt
-        return seen
+        return False
 
     def validate(self, sample: int = 20000) -> bool:
         e = self.identity
@@ -458,29 +460,48 @@ class MultTable:
                    == self.table[a][self.table[b][c]] for a, b, c in triples)
 
 
-def coset_representatives(table: CosetTable) -> list[Word]:
-    """Schreier transversal: minimal representative words, by BFS from 0."""
-    reps: list[Word | None] = [None] * table.index
-    reps[0] = ()
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
+def _spanning_tree(table: CosetTable) -> list[tuple[int, int, int]]:
+    """Edges (c, signed generator, d) of the BFS tree from coset 0, in order."""
+    seen = [False] * table.index
+    seen[0] = True
+    order = [0]
+    edges = []
+    for c in order:
         for g in range(1, table.n_gens + 1):
             for signed, nxt in ((g, table.action[g - 1][c]),
                                 (-g, table.inverse[g - 1][c])):
-                if reps[nxt] is None:
-                    reps[nxt] = multiply(reps[c], (signed,))
-                    queue.append(nxt)
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    order.append(nxt)
+                    edges.append((c, signed, nxt))
+    return edges
+
+
+def coset_representatives(table: CosetTable) -> list[Word]:
+    """Schreier transversal: minimal representative words, by BFS from 0."""
+    reps: list[Word] = [()] * table.index
+    for c, signed, d in _spanning_tree(table):
+        reps[d] = reps[c] + (signed,)
     return reps
 
 
 def regular_rep(table: CosetTable) -> MultTable:
-    """Multiplication table of the quotient, from a trivial-subgroup table."""
+    """Multiplication table of the quotient, from a trivial-subgroup table.
+
+    Row i is i * rep(j) for every j, filled along the spanning tree: if
+    rep(d) = rep(c) * x then i * rep(d) is (i * rep(c)) acted on by x.
+    """
     if not table.subgroup.is_trivial_subgroup():
         raise ValueError("regular representation needs the trivial subgroup")
-    reps = coset_representatives(table)
     size = table.index
-    mult = [[table.trace(i, reps[j]) for j in range(size)] for i in range(size)]
+    tree = [(c, table.action[x - 1] if x > 0 else table.inverse[-x - 1], d)
+            for c, x, d in _spanning_tree(table)]
+    mult = []
+    for i in range(size):
+        row = [i] * size
+        for c, perm, d in tree:
+            row[d] = perm[row[c]]
+        mult.append(row)
     gens = tuple(table.action[g][0] for g in range(table.n_gens))
     return MultTable(size, mult, 0, gens)
 
@@ -655,7 +676,7 @@ def find_epimorphisms(pres: Presentation, mt: MultTable,
                 if acc != e:
                     break
             else:
-                if len(mt.closure(assign)) == mt.size:
+                if mt.generates(assign):
                     out.extend(tuple(table[table[g][x]][inv[g]]
                                      for x in assign)
                                for g in transversal.values())

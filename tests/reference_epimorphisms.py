@@ -2,7 +2,8 @@
 
 It tests every one of the size^rank generator assignments, evaluating each
 relator letter by letter and finding the inverse of an inverted letter's
-image by scanning that element's row for the identity.  The search in
+image by scanning that element's row for the identity, and decides
+surjectivity by building the whole subgroup the images generate.  The search in
 ``meridian.cosets`` tests one first image per conjugacy class and conjugates
 the survivors; it must return the same list, in the same order, for every
 presentation, target and cap.
@@ -12,6 +13,23 @@ from itertools import product
 
 from meridian.cosets import MultTable, SearchCapExceeded
 from meridian.fpgroups import Presentation, Word
+
+
+def closure(mt: MultTable, seed) -> set[int]:
+    """Subgroup generated by the seed (in a finite group products suffice)."""
+    seed = sorted(set(seed))
+    seen = set(seed) | {mt.identity}
+    frontier = sorted(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in seed:
+                b = mt.table[a][s]
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
 
 
 def _inverse(mt: MultTable, a: int) -> int:
@@ -41,6 +59,6 @@ def find_epimorphisms(pres: Presentation, mt: MultTable,
     for assign in product(range(mt.size), repeat=pres.rank):
         if all(_evaluate(mt, rel, assign) == mt.identity
                for rel in pres.relators):
-            if len(mt.closure(assign)) == mt.size:
+            if len(closure(mt, assign)) == mt.size:
                 out.append(assign)
     return out

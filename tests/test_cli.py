@@ -108,6 +108,13 @@ class TestExitCodes:
                   env_extra={"MERIDIAN_MAX_COSETS": "100"})
         assert out.returncode == 3
 
+    def test_cap_counts_table_rows(self):
+        # the enumeration of the order-320 group needs 5,593 table rows
+        out = run("order", "--preset", "degtyarev-projective",
+                  "--max-cosets", "5600")
+        assert out.returncode == 0
+        assert out.stdout == "order 320\n"
+
     def test_homs_search_cap_is_exit_three(self):
         out = run("homs", "--preset", "degtyarev-affine",
                   "--target", "degtyarev-320", "--cap", "10")
@@ -356,6 +363,10 @@ class TestDeterminismAndJson:
     @pytest.mark.parametrize("args,golden", [
         (("pipeline", "--preset", "degtyarev"), "pipeline-text.out"),
         (("--json", "pipeline", "--preset", "degtyarev"), "pipeline-json.out"),
+        (("center", "--preset", "degtyarev-projective"),
+         "center-projective.out"),
+        (("homs", "--preset", "degtyarev-affine", "--target", "degtyarev-320"),
+         "homs-320.out"),
     ])
     def test_pipeline_matches_golden(self, args, golden):
         out = subprocess.run(MODULE + list(args), capture_output=True)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_cosets
+from reference_epimorphisms import closure
 from meridian.abelian import abelianization
 from meridian.cosets import (
     CosetOverflow,
@@ -9,6 +12,7 @@ from meridian.cosets import (
     SubgroupSpec,
     abelian_invariants_of_subset,
     check_table,
+    coset_representatives,
     cyclic_table,
     dihedral_table,
     find_epimorphisms,
@@ -17,7 +21,7 @@ from meridian.cosets import (
     reidemeister_schreier,
     todd_coxeter,
 )
-from meridian.fpgroups import Presentation, parse_presentation
+from meridian.fpgroups import Presentation, parse_presentation, parse_words
 
 
 def perm_closure_order(gens, degree):
@@ -98,6 +102,13 @@ class TestToddCoxeter:
         with pytest.raises(CosetOverflow):
             todd_coxeter(free, max_cosets=50)
 
+    def test_cap_counts_table_rows(self):
+        # coset 0 is the only row the trivial group needs
+        trivial = parse_presentation("gens x y; rel x; rel y*x;")
+        assert todd_coxeter(trivial, max_cosets=1).index == 1
+        with pytest.raises(CosetOverflow):
+            todd_coxeter(parse_presentation("gens x; rel x^2;"), max_cosets=1)
+
     def test_kernel_mode_rejects_non_kernel_relator(self):
         pres = parse_presentation("gens x; rel x^3;")
         with pytest.raises(InvalidSubgroup):
@@ -146,7 +157,22 @@ class TestRegularRep:
     def test_closure_of_generators_is_whole_group(self, presets):
         table = todd_coxeter(presets["p1-2-5-10"].with_relators([(1, 2) * 2]))
         mt = regular_rep(table)
-        assert len(mt.closure(mt.generator_elements)) == mt.size
+        assert len(closure(mt, mt.generator_elements)) == mt.size
+        assert mt.generates(mt.generator_elements)
+
+    @pytest.mark.parametrize("text", [
+        "gens x y; rel x^2; rel y^3; rel (x*y)^2;",
+        "gens x y; rel x^4; rel x^2*y^-2; rel y^-1*x*y*x;",
+        "gens x y; rel x^2; rel y^3; rel (x*y)^5;",
+        "gens x y z; rel x^2; rel y^2; rel z^3; rel [x,y]; rel [x,z]; "
+        "rel [y,z];",
+    ])
+    def test_rows_are_products_with_representatives(self, text):
+        table = todd_coxeter(parse_presentation(text))
+        reps = coset_representatives(table)
+        assert [table.trace(0, w) for w in reps] == list(range(table.index))
+        assert regular_rep(table).table == [
+            [table.trace(i, w) for w in reps] for i in range(table.index)]
 
     def test_nontrivial_subgroup_rejected(self):
         pres = parse_presentation("gens x y; rel x^2; rel y^3; rel (x*y)^5;")
@@ -272,3 +298,101 @@ class TestMultTables:
         klein = dihedral_table(4)          # the Klein four group
         inv = abelian_invariants_of_subset(klein, list(range(4)))
         assert inv.torsion == (2, 2)
+
+    @pytest.mark.parametrize("name, seed, expected", [
+        ("cyclic-1", (), True),
+        ("cyclic-2", (), False),
+        ("cyclic-6", (2, 3), True),
+        ("cyclic-6", (2, 4), False),
+        ("dihedral-10", (1,), False),
+        ("dihedral-10", (5,), False),
+        ("dihedral-10", (1, 5), True),
+    ])
+    def test_generates(self, name, seed, expected):
+        assert SMALL_TABLES[name].generates(seed) is expected
+
+
+SMALL_TABLES = {
+    **{f"cyclic-{n}": cyclic_table(n) for n in range(1, 13)},
+    **{f"dihedral-{n}": dihedral_table(n) for n in range(2, 17, 2)},
+    "Q8": regular_rep(todd_coxeter(parse_presentation(
+        "gens x y; rel x^4; rel x^2*y^-2; rel y^-1*x*y*x;"))),
+    "A5": regular_rep(todd_coxeter(parse_presentation(
+        "gens x y; rel x^2; rel y^3; rel (x*y)^5;"))),
+}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(SMALL_TABLES)),
+       st.lists(st.integers(0, 10 ** 6), max_size=3))
+def test_generates_agrees_with_closure(name, raw):
+    mt = SMALL_TABLES[name]
+    seed = [r % mt.size for r in raw]
+    assert mt.generates(seed) == (len(closure(mt, seed)) == mt.size)
+
+
+# --- Felsch against the HLT enumerator it replaced ---------------------------
+
+BASE_GROUPS = (
+    [f"gens x y; rel x^2; rel y^{n}; rel (x*y)^2;" for n in range(2, 9)]
+    + [f"gens x y; rel x^2; rel y^3; rel (x*y)^{n};" for n in (3, 4, 5)]
+    + [f"gens x y; rel x^2; rel y^2; rel (x*y)^{n};" for n in range(2, 9)]
+)
+
+
+@st.composite
+def finite_enumerations(draw):
+    pres = parse_presentation(draw(st.sampled_from(BASE_GROUPS)))
+    word = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8)
+    pres = pres.with_relators(draw(st.lists(word, max_size=2)))
+    subgroup = draw(st.none() | st.lists(word, max_size=2).map(
+        SubgroupSpec.from_words))
+    return pres, subgroup
+
+
+def _assert_same_as_hlt(pres, subgroup):
+    table = todd_coxeter(pres, subgroup)
+    assert (table.action, table.inverse) == \
+        reference_cosets.todd_coxeter(pres, subgroup)
+    assert check_table(pres, table)
+    return table
+
+
+@settings(max_examples=600)
+@given(finite_enumerations())
+def test_same_standardized_table_as_hlt(case):
+    _assert_same_as_hlt(*case)
+
+
+@pytest.mark.parametrize("text, index", [
+    # without rescanning the edges a coincidence moves, the enumeration ends
+    # at a table of 4 cosets that breaks (x*y)^4
+    ("gens x y; rel x^2; rel y^3; rel (x*y)^4; rel x; rel x^2*y^-3;", 1),
+    # without the conjugates of inverse relators, scanning a deduction at its
+    # source coset misses the cycles that cross it backwards
+    ("gens x y; rel x^2; rel y^4; rel (x*y)^2; rel x^-1;", 2),
+    ("gens x y; rel x^2; rel y^3; rel (x*y)^5; rel x^-1;", 1),
+])
+def test_every_deduction_is_scanned(text, index):
+    assert _assert_same_as_hlt(parse_presentation(text), None).index == index
+
+
+@pytest.mark.parametrize("name, extra, spec, index", [
+    ("degtyarev-projective", (), "", 320),
+    ("degtyarev-projective", (), "x", 64),
+    ("degtyarev-projective", (), "y", 64),
+    ("degtyarev-affine", ((1,) * 5,), "", 320),
+    ("degtyarev-affine-xt", ((1,) * 5,), "", 320),
+    ("c-2-3", (), "y x*y*x", 2),
+    ("c-2-3", (), "y*x (x*y)^2", 3),
+    ("c-2-3", (), "x y*x^-1*y", 3),
+    ("c-2-3", (), "x*y*x*y*x y", 4),
+    ("c-2-3", (), "[x,y] [x,y^-1]", 6),
+    ("c-2-3", (), "(x*y)^3 (y*x)^3 y^-1*(x*y)^3*y", 12),
+])
+def test_presets_same_standardized_table_as_hlt(presets, name, extra, spec,
+                                                index):
+    pres = presets[name].with_relators(extra)
+    words = parse_words(spec, {g: i + 1 for i, g in enumerate(pres.generators)})
+    table = _assert_same_as_hlt(pres, SubgroupSpec.from_words(words))
+    assert table.index == index
