@@ -15,8 +15,8 @@ arbitrary precision.  Two routines quotient Z^n by a lattice:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from math import gcd
 
 from .fpgroups import Presentation, Word
@@ -43,13 +43,15 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-@dataclass
 class SmithForm:
     """U * M * V = diag(d1, ..., dr) with d1 | d2 | ... and U, V unimodular."""
 
-    diagonal: list[int]
-    u: IntMatrix
-    v: IntMatrix
+    __slots__ = ("diagonal", "u", "v")
+
+    def __init__(self, diagonal: list[int], u: IntMatrix, v: IntMatrix):
+        self.diagonal = diagonal
+        self.u = u
+        self.v = v
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -135,8 +137,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(diag, u, v)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "rank torsion gen_images",
+                              defaults=((),))):
     """Z^rank plus cyclic factors Z/d1 x ... with d1 | d2 | ... (all di >= 2).
 
     ``gen_images`` gives each presentation generator in the canonical
@@ -144,9 +146,7 @@ class AbelianGroup:
     the free coordinates.
     """
 
-    rank: int
-    torsion: tuple[int, ...]
-    gen_images: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
     @property
     def coordinate_orders(self) -> tuple[int, ...]:
@@ -329,16 +329,14 @@ def surjects_onto(source: AbelianGroup, target: AbelianGroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "modulus exponents")):
     """Homomorphism to C* taking each canonical coordinate to zeta_N^e.
 
     ``modulus`` is N; ``exponents`` has one entry per canonical coordinate of
     the underlying abelian group (torsion coordinates first, then free ones).
     """
 
-    modulus: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
     def is_trivial(self) -> bool:
         return not any(e % self.modulus for e in self.exponents)

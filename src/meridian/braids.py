@@ -15,8 +15,6 @@ equality test of choice for braids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fpgroups import (
     ParseError,
     Presentation,
@@ -33,22 +31,28 @@ class BraidError(ValueError):
     """Strand-count mismatches and out-of-range braid letters."""
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """Freely reduced word in the Artin generators of the braid group B_n."""
 
-    strands: int
-    letters: Word
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: Word):
+        if strands < 1:
             raise BraidError("a braid needs at least one strand")
-        reduced = reduce_word(self.letters)
+        reduced = reduce_word(letters)
         for x in reduced:
-            if not 1 <= abs(x) < self.strands:
+            if not 1 <= abs(x) < strands:
                 raise BraidError(
                     f"letter s_{abs(x)} needs at least {abs(x)+1} strands")
-        object.__setattr__(self, "letters", reduced)
+        self.strands = strands
+        self.letters = reduced
+
+    def __eq__(self, other):
+        return (isinstance(other, BraidWord) and self.strands == other.strands
+                and self.letters == other.letters)
+
+    def __hash__(self):
+        return hash((self.strands, self.letters))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
@@ -131,17 +135,25 @@ def braid_permutation(b: BraidWord) -> tuple[int, ...]:
     return tuple(perm[1:])
 
 
-@dataclass(frozen=True)
 class PathTable:
     """Named elementary braids shared by all monodromy paths."""
 
-    strands: int
-    entries: tuple[tuple[str, BraidWord], ...]
+    __slots__ = ("strands", "entries")
 
-    def __post_init__(self):
-        for _, b in self.entries:
-            if b.strands != self.strands:
+    def __init__(self, strands: int,
+                 entries: tuple[tuple[str, BraidWord], ...]):
+        for _, b in entries:
+            if b.strands != strands:
                 raise BraidError("path table mixes strand counts")
+        self.strands = strands
+        self.entries = entries
+
+    def __eq__(self, other):
+        return (isinstance(other, PathTable) and self.strands == other.strands
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.strands, self.entries))
 
     def braid(self, name: str) -> BraidWord:
         for key, b in self.entries:
@@ -165,7 +177,6 @@ def compose_path_monodromy(table: PathTable, path) -> BraidWord:
     return out
 
 
-@dataclass(frozen=True)
 class MonodromyData:
     """Braids indexed by the geometric generators of the base, plus options.
 
@@ -173,14 +184,24 @@ class MonodromyData:
     present, it joins the relators to present the projective completion.
     """
 
-    strands: int
-    braids: tuple[tuple[str, BraidWord], ...]
-    infinity_meridian: Word | None = None
+    __slots__ = ("strands", "braids", "infinity_meridian")
 
-    def __post_init__(self):
-        for _, b in self.braids:
-            if b.strands != self.strands:
+    def __init__(self, strands: int, braids: tuple[tuple[str, BraidWord], ...],
+                 infinity_meridian: Word | None = None):
+        for _, b in braids:
+            if b.strands != strands:
                 raise BraidError("monodromy mixes strand counts")
+        self.strands = strands
+        self.braids = braids
+        self.infinity_meridian = infinity_meridian
+
+    def __eq__(self, other):
+        return (isinstance(other, MonodromyData)
+                and (self.strands, self.braids, self.infinity_meridian)
+                == (other.strands, other.braids, other.infinity_meridian))
+
+    def __hash__(self):
+        return hash((self.strands, self.braids, self.infinity_meridian))
 
 
 def _peel_conjugator(letters: Word) -> tuple[Word, Word]:
@@ -285,12 +306,17 @@ def zvk_presentation(data: MonodromyData, reduction: str = "none") -> Presentati
 # each optionally inverted with '^-1'.
 
 
-@dataclass
 class MonodromyFile:
-    strands: int
-    table: PathTable
-    monodromy: MonodromyData
-    compositions: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] = ()
+    __slots__ = ("strands", "table", "monodromy", "compositions")
+
+    def __init__(self, strands: int, table: PathTable,
+                 monodromy: MonodromyData,
+                 compositions: tuple[tuple[str, tuple[tuple[str, int], ...]],
+                                     ...] = ()):
+        self.strands = strands
+        self.table = table
+        self.monodromy = monodromy
+        self.compositions = compositions
 
 
 def _letters(prefix: str, count: int) -> dict[str, int]:

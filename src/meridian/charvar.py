@@ -16,8 +16,6 @@ abelianization to integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import AbelianGroup, Character, abelianization, characters_of_order_dividing
 from .exactalg import (
     CycloNumber,
@@ -111,13 +109,16 @@ def _check_character(group: AbelianGroup, xi: Character):
                 f"coordinate of order {d} cannot map to zeta^{e} mod {xi.modulus}")
 
 
-@dataclass
 class TwistedComplex:
     """The twisted chain complex C_2 -> C_1 -> C_0 at a fixed character."""
 
-    character: Character
-    d1: list[CycloNumber]
-    d2: FieldMatrix
+    __slots__ = ("character", "d1", "d2")
+
+    def __init__(self, character: Character, d1: list[CycloNumber],
+                 d2: FieldMatrix):
+        self.character = character
+        self.d1 = d1
+        self.d2 = d2
 
     def h1_dim(self) -> int:
         rank_d1 = 0 if all(e.is_zero() for e in self.d1) else 1
@@ -149,13 +150,16 @@ def twisted_h1_dim(pres: Presentation, xi: Character) -> int:
 # --- finite character torus ---------------------------------------------------
 
 
-@dataclass
 class FiniteTorusVariety:
     """Depth of every character of a finite character torus."""
 
-    group: AbelianGroup
-    modulus: int
-    depths: list[tuple[Character, int]]
+    __slots__ = ("group", "modulus", "depths")
+
+    def __init__(self, group: AbelianGroup, modulus: int,
+                 depths: list[tuple[Character, int]]):
+        self.group = group
+        self.modulus = modulus
+        self.depths = depths
 
     def stratum(self, k: int) -> list[Character]:
         return [chi for chi, d in self.depths if d >= k]
@@ -194,15 +198,21 @@ def describe_character_set(chars: list[Character], modulus: int) -> str:
     return " u ".join(parts)
 
 
-def charvar_finite_torus(pres: Presentation) -> FiniteTorusVariety:
-    """Depths of all characters when the abelianization is finite."""
-    group = abelianization(pres)
+def charvar_finite_torus(pres: Presentation,
+                         group: AbelianGroup | None = None
+                         ) -> FiniteTorusVariety:
+    """Depths of all characters when the abelianization is finite.
+
+    ``group`` is the abelianization of ``pres``, computed here when not given.
+    """
+    if group is None:
+        group = abelianization(pres)
     if group.rank:
         raise CharVarError(
             "abelianization is infinite; use the rank-one mode")
     n = group.exponent()
     chars = characters_of_order_dividing(group, n)
-    depths = [(xi, twisted_h1_dim(pres, xi)) for xi in chars]
+    depths = [(xi, twisted_complex(pres, xi, group).h1_dim()) for xi in chars]
     return FiniteTorusVariety(group, n, depths)
 
 
@@ -252,15 +262,18 @@ def _poly_det(m: list[list[UniPoly]]) -> UniPoly:
     return out
 
 
-@dataclass
 class RankOneStratum:
     """V_k of a rank-one torus, described by the gcd of (g-k)-minors."""
 
-    k: int
-    full: bool                      # every nontrivial character qualifies
-    cyclotomic: dict[int, int]      # Phi_N -> multiplicity in the gcd
-    residual: UniPoly               # non-cyclotomic leftover, primitive
-    includes_one: bool
+    __slots__ = ("k", "full", "cyclotomic", "residual", "includes_one")
+
+    def __init__(self, k: int, full: bool, cyclotomic: dict[int, int],
+                 residual: UniPoly, includes_one: bool):
+        self.k = k
+        self.full = full                # every nontrivial character qualifies
+        self.cyclotomic = cyclotomic    # Phi_N -> multiplicity in the gcd
+        self.residual = residual        # non-cyclotomic leftover, primitive
+        self.includes_one = includes_one
 
     def is_empty(self) -> bool:
         return (not self.full and not self.cyclotomic
@@ -294,10 +307,16 @@ class RankOneStratum:
         return " u ".join(parts) if parts else "{}"
 
 
-@dataclass
 class RankOneVariety:
-    betti: int
-    strata: list[RankOneStratum]
+    """The strata V_1, V_2, ... of a group whose abelianization ``group`` is Z."""
+
+    __slots__ = ("betti", "strata", "group")
+
+    def __init__(self, betti: int, strata: list[RankOneStratum],
+                 group: AbelianGroup):
+        self.betti = betti
+        self.strata = strata
+        self.group = group
 
     def stratum(self, k: int) -> RankOneStratum:
         for s in self.strata:
@@ -310,7 +329,8 @@ class RankOneVariety:
         return self.stratum(k).contains_primitive(order)
 
 
-def charvar_rank_one(pres: Presentation) -> RankOneVariety:
+def charvar_rank_one(pres: Presentation,
+                     group: AbelianGroup | None = None) -> RankOneVariety:
     """Characteristic varieties when the abelianization is Z.
 
     V_k away from 1 is cut out by the (g-k)-minors of the Fox matrix in the
@@ -319,9 +339,11 @@ def charvar_rank_one(pres: Presentation) -> RankOneVariety:
     unity among its roots.  Membership of the trivial character follows the
     Betti rule: 1 lies in V_k exactly when the first Betti number is at
     least k.  The gcd is taken up to units of Z[t, t^-1], so powers of t
-    are divided out: 0 is not a character.
+    are divided out: 0 is not a character.  ``group`` is the
+    abelianization of ``pres``, computed here when not given.
     """
-    group = abelianization(pres)
+    if group is None:
+        group = abelianization(pres)
     if group.rank != 1 or group.torsion:
         raise CharVarError("rank-one mode needs abelianization Z"
                            " (use per-character tests otherwise)")
@@ -354,7 +376,7 @@ def charvar_rank_one(pres: Presentation) -> RankOneVariety:
         strata.append(stratum)
         if stratum.is_empty():
             break
-    return RankOneVariety(betti, strata)
+    return RankOneVariety(betti, strata, group)
 
 
 def characteristic_variety(pres: Presentation
@@ -363,8 +385,8 @@ def characteristic_variety(pres: Presentation
     every character when it is finite, the rank-one torus C* when it is Z."""
     group = abelianization(pres)
     if group.rank == 0:
-        return charvar_finite_torus(pres)
+        return charvar_finite_torus(pres, group)
     if group.rank == 1 and not group.torsion:
-        return charvar_rank_one(pres)
+        return charvar_rank_one(pres, group)
     raise CharVarError(f"abelianization {group}: characteristic varieties"
                        " need a finite abelianization or Z")

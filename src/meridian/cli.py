@@ -73,7 +73,20 @@ def default_max_cosets(args) -> int:
             raise SystemExit2("--max-cosets must be at least 1")
         return args.max_cosets
     env = os.environ.get("MERIDIAN_MAX_COSETS")
-    return int(env) if env else 10 ** 6
+    if not env:
+        return 10 ** 6
+    try:
+        return int(env)
+    except ValueError:
+        raise SystemExit2(f"MERIDIAN_MAX_COSETS must be an integer,"
+                          f" got {env!r}") from None
+
+
+def note_tietze_stop(result, what: str) -> None:
+    """Say on stderr that a Tietze simplification stopped at its budget."""
+    if not result.completed:
+        print(f"note: Tietze simplification {what} after {result.steps} moves;"
+              f" more moves were available", file=sys.stderr)
 
 
 def _integer(text: str, source: str) -> int:
@@ -266,10 +279,7 @@ def cmd_subgroup(args) -> int:
     table = cosets.todd_coxeter(pres, spec, default_max_cosets(args))
     result = cosets.reidemeister_schreier(pres, table,
                                           tietze_budget=args.tietze_budget)
-    if not result.completed:
-        print(f"note: Tietze simplification stopped at --tietze-budget"
-              f" {args.tietze_budget} after {result.steps} moves; more moves"
-              f" were available", file=sys.stderr)
+    note_tietze_stop(result, f"stopped at --tietze-budget {args.tietze_budget}")
     sub = result.presentation
     ab = abelianization(sub)
     emit(args, [f"index {table.index}",
@@ -418,6 +428,14 @@ def cmd_verify_curves(args) -> int:
     return OK if all(ok for _, ok, _ in checks) else NEGATIVE
 
 
+def _simplify(pres: Presentation, name: str) -> Presentation:
+    """Tietze-simplify one pipeline presentation, noting a budget stop."""
+    result = tietze_simplify(pres)
+    note_tietze_stop(result, f"of the {name} presentation stopped at its"
+                             f" budget")
+    return result.presentation
+
+
 def cmd_pipeline(args) -> int:
     name = {"degtyarev": "degtyarev-newbraid"}.get(args.preset, args.preset)
     mono = load_monodromy(name)
@@ -429,23 +447,24 @@ def cmd_pipeline(args) -> int:
     raw = braids.zvk_presentation(affine_data, "block")
     lines.append(f"zvk (block reduction): {len(raw.generators)} generators,"
                  f" {len(raw.relators)} relators")
-    simplified = tietze_simplify(raw).presentation
+    simplified = _simplify(raw, "affine")
     lines.append("simplified: " +
                  print_presentation(simplified).rstrip("\n").replace("\n", "  "))
-    ab = abelianization(simplified)
+    variety = characteristic_variety(simplified)
+    ab = variety.group
     lines.append(f"abelianization: {ab}")
     doc["abelianization"] = str(ab)
 
     max_cosets = default_max_cosets(args)
     proj = braids.zvk_presentation(mono.monodromy, "block")
-    table = cosets.todd_coxeter(tietze_simplify(proj).presentation,
+    table = cosets.todd_coxeter(_simplify(proj, "projective"),
                                 max_cosets=max_cosets)
     lines.append(f"projective quotient (infinity meridian added):"
                  f" order {table.index}")
     doc["projective_order"] = table.index
 
     merid = raw.with_relators([(1,) * 5])
-    table5 = cosets.todd_coxeter(tietze_simplify(merid).presentation,
+    table5 = cosets.todd_coxeter(_simplify(merid, "meridian^5"),
                                  max_cosets=max_cosets)
     lines.append(f"meridian^5 quotient: order {table5.index}")
     doc["meridian5_order"] = table5.index
@@ -458,7 +477,6 @@ def cmd_pipeline(args) -> int:
     lines.append(f"projective abelianization: {ab5}")
     doc["projective_abelianization"] = str(ab5)
 
-    variety = characteristic_variety(simplified)
     cv_lines, cv_doc = _charvar_lines(variety)
     lines.extend(cv_lines)
     doc["charvar"] = cv_doc

@@ -21,8 +21,7 @@ output is deterministic and does not depend on the strategy.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import product
 
@@ -48,8 +47,7 @@ class InvalidSubgroup(ValueError):
     """Kernel-mode subgroup data that does not contain all relators."""
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(namedtuple("KernelSpec", "moduli images")):
     """Kernel of the map onto the finite abelian group prod_i Z/moduli[i].
 
     ``images`` lists, per presentation generator, its image coordinates.
@@ -57,8 +55,7 @@ class KernelSpec:
     generating set of the kernel never needs to be written down.
     """
 
-    moduli: tuple[int, ...]
-    images: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def image_of(self, w: Word) -> tuple[int, ...]:
         out = [0] * len(self.moduli)
@@ -70,12 +67,11 @@ class KernelSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(namedtuple("SubgroupSpec", "words kernel",
+                              defaults=((), None))):
     """Either explicit generator words or kernel-of-abelian-map data."""
 
-    words: tuple[Word, ...] = ()
-    kernel: KernelSpec | None = None
+    __slots__ = ()
 
     @classmethod
     def trivial(cls) -> "SubgroupSpec":
@@ -94,7 +90,6 @@ class SubgroupSpec:
         return self.kernel is None and all(not w for w in self.words)
 
 
-@dataclass
 class CosetTable:
     """Permutation action of the generators on the cosets of a subgroup.
 
@@ -102,10 +97,14 @@ class CosetTable:
     c under generator g; ``inverse[g-1]`` is the inverse permutation.
     """
 
-    n_gens: int
-    action: list[list[int]]
-    inverse: list[list[int]]
-    subgroup: SubgroupSpec
+    __slots__ = ("n_gens", "action", "inverse", "subgroup")
+
+    def __init__(self, n_gens: int, action: list[list[int]],
+                 inverse: list[list[int]], subgroup: SubgroupSpec):
+        self.n_gens = n_gens
+        self.action = action
+        self.inverse = inverse
+        self.subgroup = subgroup
 
     @property
     def index(self) -> int:
@@ -373,7 +372,6 @@ def check_table(pres: Presentation, table: CosetTable) -> bool:
 # --- finite quotient structure ------------------------------------------------
 
 
-@dataclass
 class MultTable:
     """Multiplication table of a finite group on indices 0..size-1.
 
@@ -383,10 +381,12 @@ class MultTable:
     raises ValueError there (``validate`` reaches it too).
     """
 
-    size: int
-    table: list[list[int]]
-    identity: int
-    generator_elements: tuple[int, ...]
+    def __init__(self, size: int, table: list[list[int]], identity: int,
+                 generator_elements: tuple[int, ...]):
+        self.size = size
+        self.table = table
+        self.identity = identity
+        self.generator_elements = generator_elements
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]

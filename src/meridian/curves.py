@@ -8,7 +8,6 @@ their canonical string forms so a transcription slip cannot hide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import BiPoly, UniPoly, discriminant_y
@@ -257,11 +256,14 @@ def verify_parametrization() -> bool:
     return image.is_zero()
 
 
-@dataclass
 class DiscriminantReport:
-    discriminant: UniPoly
-    constant: Fraction | None      # nonzero c with disc = c * x * (x^2-11x-1)^5
-    proportional: bool
+    __slots__ = ("discriminant", "constant", "proportional")
+
+    def __init__(self, discriminant: UniPoly, constant: Fraction | None,
+                 proportional: bool):
+        self.discriminant = discriminant
+        self.constant = constant    # nonzero c with disc = c * x * (x^2-11x-1)^5
+        self.proportional = proportional
 
 
 def quintic_fiber_polynomial() -> BiPoly:

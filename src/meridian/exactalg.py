@@ -9,7 +9,6 @@ stripped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -347,21 +346,21 @@ def cyclo_invert(a: CycloNumber) -> CycloNumber:
     return CycloNumber(a.modulus, s * UniPoly([Fraction(1) / g.coeffs[0]]))
 
 
-@dataclass
 class FieldMatrix:
     """Rectangular matrix over a single Q(zeta_N)."""
 
-    modulus: int
-    entries: list[list[CycloNumber]]
+    __slots__ = ("modulus", "entries")
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.entries}
+    def __init__(self, modulus: int, entries: list[list[CycloNumber]]):
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        for row in self.entries:
+        for row in entries:
             for e in row:
-                if e.modulus != self.modulus:
+                if e.modulus != modulus:
                     raise ValueError("mixed cyclotomic moduli in matrix")
+        self.modulus = modulus
+        self.entries = entries
 
     @property
     def rows(self) -> int:

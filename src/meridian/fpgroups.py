@@ -9,7 +9,7 @@ Relators of a presentation are additionally cyclically reduced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 Word = tuple[int, ...]
 
@@ -116,26 +116,24 @@ def _relator_key(w: Word) -> Word:
     return min(_least_rotation(w), _least_rotation(invert(w)))
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator names plus relator words.
 
     Relators are stored freely and cyclically reduced; empty and duplicate
     relators are dropped at construction (``dropped`` counts them).
+    Equality and hashing ignore ``dropped``.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-    dropped: int = field(default=0, compare=False)
+    __slots__ = ("generators", "relators", "dropped")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[Word, ...], dropped: int = 0):
+        if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
-        n = len(self.generators)
+        n = len(generators)
         cleaned = []
         seen = set()
-        dropped = 0
-        for rel in self.relators:
+        for rel in relators:
             rel = cyclic_reduce(reduce_word(rel))
             if generator_span([rel]) > n:
                 raise WordError(
@@ -146,8 +144,17 @@ class Presentation:
                 continue
             seen.add(key)
             cleaned.append(rel)
-        object.__setattr__(self, "relators", tuple(cleaned))
-        object.__setattr__(self, "dropped", self.dropped + dropped)
+        self.generators = generators
+        self.relators = tuple(cleaned)
+        self.dropped = dropped
+
+    def __eq__(self, other):
+        return (isinstance(other, Presentation)
+                and self.generators == other.generators
+                and self.relators == other.relators)
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
     @property
     def rank(self) -> int:
@@ -388,11 +395,7 @@ def print_presentation(pres: Presentation) -> str:
 # --- Tietze simplification --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TietzeResult:
-    presentation: Presentation
-    completed: bool
-    steps: int
+TietzeResult = namedtuple("TietzeResult", "presentation completed steps")
 
 
 def _substitute(word: Word, gen: int, image: Word) -> Word:

@@ -27,7 +27,7 @@ surface-group oracles in the test suite pin this construction down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .abelian import (
@@ -53,15 +53,14 @@ def free_lie_ranks(n: int, d: int) -> int:
     raise ValueError("degrees beyond 3 are unsupported")
 
 
-@dataclass(frozen=True)
-class HallBasis:
+class HallBasis(namedtuple("HallBasis", "n")):
     """Basic commutators of degree <= 3 on n generators.
 
     Degree 2: [x_i, x_j] with i > j.  Degree 3: [[x_i, x_j], x_k] with i > j
     and k >= j.  The counts match the Witt numbers.
     """
 
-    n: int
+    __slots__ = ()
 
     @property
     def degree2(self) -> list[tuple[int, int]]:
@@ -240,11 +239,10 @@ def _integer_row_kernel(matrix: list[list[int]]) -> list[list[int]]:
     return [row[:] for row in snf.u[r:]]
 
 
-@dataclass(frozen=True)
-class GradedQuotient:
+class GradedQuotient(namedtuple("GradedQuotient", "degrees")):
     """Abelian invariants of gamma_d / gamma_(d+1) for d = 1..max_class."""
 
-    degrees: tuple[AbelianGroup, ...]
+    __slots__ = ()
 
     def degree(self, d: int) -> AbelianGroup:
         return self.degrees[d - 1]

@@ -11,7 +11,7 @@ groups (2,3,3), (2,3,4), (2,3,5)) can receive a geometric surjection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .abelian import AbelianGroup, abelianization, surjects_onto
@@ -21,19 +21,28 @@ from .fpgroups import Presentation, commutator, multiply, power
 from .nilpotent import lcs_quotients
 
 
-@dataclass(frozen=True)
 class OrbifoldSignature:
-    genus: int = 0
-    punctures: int = 0
-    multiplicities: tuple[int, ...] = ()
+    """Genus, puncture count and sorted branching multiplicities."""
 
-    def __post_init__(self):
-        if self.genus < 0 or self.punctures < 0:
+    __slots__ = ("genus", "punctures", "multiplicities")
+
+    def __init__(self, genus: int = 0, punctures: int = 0,
+                 multiplicities: tuple[int, ...] = ()):
+        if genus < 0 or punctures < 0:
             raise ValueError("genus and puncture count must be nonnegative")
-        if any(m < 2 for m in self.multiplicities):
+        if any(m < 2 for m in multiplicities):
             raise ValueError("orbifold multiplicities must be at least 2")
-        object.__setattr__(self, "multiplicities",
-                           tuple(sorted(self.multiplicities)))
+        self.genus = genus
+        self.punctures = punctures
+        self.multiplicities = tuple(sorted(multiplicities))
+
+    def __eq__(self, other):
+        return (isinstance(other, OrbifoldSignature)
+                and (self.genus, self.punctures, self.multiplicities)
+                == (other.genus, other.punctures, other.multiplicities))
+
+    def __hash__(self):
+        return hash((self.genus, self.punctures, self.multiplicities))
 
     def euler_characteristic(self) -> Fraction:
         return (Fraction(2 - 2 * self.genus - self.punctures)
@@ -126,11 +135,11 @@ def orbifold_presentation(sig: OrbifoldSignature) -> Presentation:
     return Presentation(names, tuple(relators))
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str                  # spherical | euclidean | hyperbolic | bad
-    chi: Fraction
-    order: int | None          # finite group order for spherical signatures
+class Classification(namedtuple("Classification", "kind chi order")):
+    """``kind`` is spherical, euclidean, hyperbolic or bad; ``order`` is the
+    finite group order of a spherical signature, else None."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "spherical":
@@ -174,18 +183,23 @@ def _spherical_abelianization(ms: tuple[int, ...]) -> AbelianGroup:
     return abelianization(orbifold_presentation(OrbifoldSignature(0, 0, ms)))
 
 
-@dataclass
 class CandidateReport:
-    signature: OrbifoldSignature
-    order: int
-    survives: bool
-    reason: str
+    __slots__ = ("signature", "order", "survives", "reason")
+
+    def __init__(self, signature: OrbifoldSignature, order: int,
+                 survives: bool, reason: str):
+        self.signature = signature
+        self.order = order
+        self.survives = survives
+        self.reason = reason
 
 
-@dataclass
 class ObstructionReport:
-    verdict: str                       # "no-target" or "candidates"
-    candidates: list[CandidateReport]
+    __slots__ = ("verdict", "candidates")
+
+    def __init__(self, verdict: str, candidates: list[CandidateReport]):
+        self.verdict = verdict              # "no-target" or "candidates"
+        self.candidates = candidates
 
     def surviving(self) -> list[OrbifoldSignature]:
         return [c.signature for c in self.candidates if c.survives]
@@ -231,17 +245,22 @@ def obstruct_finite(order: int, ab: AbelianGroup) -> ObstructionReport:
 # --- infinite targets for rank-one groups ---------------------------------------
 
 
-@dataclass
 class TargetComparison:
-    target: OrbifoldSignature
-    excluded: bool
-    evidence: list[str]
+    __slots__ = ("target", "excluded", "evidence")
+
+    def __init__(self, target: OrbifoldSignature, excluded: bool,
+                 evidence: list[str]):
+        self.target = target
+        self.excluded = excluded
+        self.evidence = evidence
 
 
-@dataclass
 class InfiniteObstructionReport:
-    verdict: str                       # "no-surjection" or "not-excluded"
-    comparisons: list[TargetComparison]
+    __slots__ = ("verdict", "comparisons")
+
+    def __init__(self, verdict: str, comparisons: list[TargetComparison]):
+        self.verdict = verdict              # "no-surjection" or "not-excluded"
+        self.comparisons = comparisons
 
 
 def obstruct_infinite_rank_one(pres: Presentation,
@@ -259,9 +278,10 @@ def obstruct_infinite_rank_one(pres: Presentation,
     kernel has degree-2/3 ranks 5 and 16.
 
     ``variety`` is the characteristic variety of ``pres``, as
-    ``charvar.characteristic_variety`` computes it.
+    ``charvar.characteristic_variety`` computes it; its abelianization is
+    reused here.
     """
-    ab = abelianization(pres)
+    ab = variety.group
     comparisons: list[TargetComparison] = []
     sig2510 = OrbifoldSignature(0, 0, (2, 5, 10))
     sig2255 = OrbifoldSignature(0, 0, (2, 2, 5, 5))
@@ -299,10 +319,9 @@ def obstruct_infinite_rank_one(pres: Presentation,
         spec = SubgroupSpec.kernel_of((10,), [(i[-1] % 10,)
                                               for i in ab.gen_images])
     kernel = reidemeister_schreier(pres, todd_coxeter(pres, spec)).presentation
-    k_ab = abelianization(kernel)
-    t_ab = abelianization(target_kernel)
     k_lcs = lcs_quotients(kernel)
     t_lcs = lcs_quotients(target_kernel)
+    k_ab, t_ab = k_lcs.degree(1), t_lcs.degree(1)
     evidence = [
         f"kernel abelianization: group {k_ab}, target {t_ab}",
         f"kernel lcs degree 2: group {k_lcs.degree(2)}, target {t_lcs.degree(2)}",

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import meridian.abelian
 import meridian.charvar
 from meridian import cli
 from meridian.cli import preset_text
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
-from meridian.fpgroups import parse_presentation, print_presentation
+from meridian.fpgroups import parse_presentation, print_presentation, tietze_simplify
 
 MODULE = [sys.executable, "-m", "meridian.cli"]
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
@@ -23,6 +24,38 @@ def run(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run(MODULE + list(args), capture_output=True,
                           text=True, env=env)
+
+
+def count_calls(monkeypatch, function) -> list:
+    """First argument of every call to a meridian function, however it was
+    imported, for the rest of the test."""
+    calls = []
+
+    def counted(first, *rest):
+        calls.append(first)
+        return function(first, *rest)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("meridian") and \
+                getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def test_import_loads_every_layer_and_no_dataclasses():
+    # perfbench's tracer finds each layer module in sys.modules after this
+    # one import; dataclasses (and the inspect it loads) cost start-up time
+    code = ("import sys; before = set(sys.modules); import meridian.cli;"
+            " print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0
+    loaded = set(out.stdout.split())
+    layers = {f"meridian.{name}" for name in (
+        "abelian", "braids", "charvar", "cli", "cosets", "curves", "exactalg",
+        "fpgroups", "nilpotent", "orbifold")}
+    assert layers <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestBasics:
@@ -268,6 +301,11 @@ class TestMalformedInputMessages:
         self.check(run("charvar", "--orbifold", "g=0 k=0 m=2,x"),
                    "expected integers in signature field 'm=2,x'")
 
+    def test_max_cosets_variable(self):
+        self.check(run("order", "--preset", "c-2-3",
+                       env_extra={"MERIDIAN_MAX_COSETS": "abc"}),
+                   "MERIDIAN_MAX_COSETS must be an integer, got 'abc'")
+
 
 class TestRankOneCharvar:
     @pytest.mark.parametrize("text,v1", [
@@ -334,6 +372,18 @@ class TestDeterminismAndJson:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
 
+    @pytest.mark.parametrize("args", [
+        ("pipeline", "--preset", "degtyarev"),
+        ("--json", "pipeline", "--preset", "degtyarev"),
+        ("homs", "--preset", "degtyarev-affine", "--target", "degtyarev-320"),
+    ])
+    def test_stdout_independent_of_hash_seed(self, args):
+        outs = [subprocess.run(MODULE + list(args), capture_output=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed})
+                for seed in ("0", "1")]
+        assert [out.returncode for out in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+
     def test_json_documents(self):
         out = run("--json", "abelianize", "--preset", "degtyarev-projective")
         doc = json.loads(out.stdout)
@@ -382,22 +432,35 @@ class TestDeterminismAndJson:
         assert out.stdout == (GOLDEN / f"lcs-raw-{kernel}.out").read_bytes()
 
     def test_pipeline_computes_rank_one_variety_once(self, monkeypatch, capsys):
-        calls = []
-        original = meridian.charvar.charvar_rank_one
-
-        def counted(pres):
-            calls.append(pres)
-            return original(pres)
-
-        # every module that holds the function, however it was imported
-        for name, module in list(sys.modules.items()):
-            if name.startswith("meridian") and \
-                    getattr(module, "charvar_rank_one", None) is original:
-                monkeypatch.setattr(module, "charvar_rank_one", counted)
+        calls = count_calls(monkeypatch, meridian.charvar.charvar_rank_one)
         assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
         assert "infinite-orbifold obstruction: no-surjection" in \
             capsys.readouterr().out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv,code,count", [
+        (["charvar", "--preset", "degtyarev-projective"], 0, 1),
+        (["charvar", "--preset", "degtyarev-affine"], 0, 1),
+        (["obstruct", "--preset", "degtyarev-affine"], 1, 4),
+        (["pipeline", "--preset", "degtyarev"], 0, 15),
+    ])
+    def test_each_presentation_abelianized_once(self, monkeypatch, capsys,
+                                                argv, code, count):
+        calls = count_calls(monkeypatch, meridian.abelian.abelianization)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == ""
+        assert len(calls) == len(set(calls)) == count
+
+    def test_pipeline_notes_tietze_budget_stops(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "tietze_simplify",
+                            lambda pres, budget=10000: tietze_simplify(pres, 1))
+        assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "".join(
+            f"note: Tietze simplification of the {name} presentation stopped"
+            f" at its budget after 1 moves; more moves were available\n"
+            for name in ("affine", "projective", "meridian^5"))
+        assert "order 320" in out and "note" not in out
 
     def test_pipeline_on_table1(self):
         out = run("pipeline", "--preset", "degtyarev-table1")
