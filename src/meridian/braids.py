@@ -19,6 +19,7 @@ from .fpgroups import (
     ParseError,
     Presentation,
     Word,
+    cyclic_reduce,
     invert,
     multiply,
     parse_word,
@@ -204,15 +205,6 @@ class MonodromyData:
         return hash((self.strands, self.braids, self.infinity_meridian))
 
 
-def _peel_conjugator(letters: Word) -> tuple[Word, Word]:
-    """Split a braid word as c * tau * c^-1 by peeling matched outer letters."""
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return letters[:i], letters[i:j]
-
-
 def _strand_blocks(strands: int, letters: Word) -> list[tuple[int, int]]:
     """Maximal runs of strands linked by the letters of a braid word."""
     linked = [False] * (strands + 1)   # linked[j]: strands j, j+1 interact
@@ -278,7 +270,9 @@ def zvk_presentation(data: MonodromyData, reduction: str = "none") -> Presentati
     for _, braid in data.braids:
         dropped: set[int] = set()
         if reduction == "block":
-            conj, tau_letters = _peel_conjugator(braid.letters)
+            # braid = c * tau * c^-1, peeling matched outer letters
+            tau_letters = cyclic_reduce(braid.letters)
+            conj = braid.letters[:(len(braid.letters) - len(tau_letters)) // 2]
             dropped = _block_dropped_indices(n, conj, tau_letters)
         for i in range(1, n + 1):
             if i in dropped:
@@ -338,6 +332,7 @@ def parse_monodromy(text: str) -> MonodromyFile:
     paths: list[tuple[str, BraidWord]] = []
     braids: list[tuple[str, BraidWord]] = []
     compositions: list[tuple[str, tuple[tuple[str, int], ...]]] = []
+    references: list[tuple[str, int, int]] = []     # path name, line, column
     infinity: Word | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -351,6 +346,10 @@ def parse_monodromy(text: str) -> MonodromyFile:
             count = line[len("strands"):].strip()
             if not count.isdigit():
                 raise ParseError("expected 'strands <n>'", line_no, 1)
+            if int(count) < 1:
+                raise ParseError("a braid needs at least one strand", line_no, 1)
+            if strands is not None:
+                raise ParseError("'strands' declared twice", line_no, 1)
             strands = int(count)
         elif line.startswith("path ") or line.startswith("braid "):
             kind = line.split(" ", 1)[0]
@@ -364,11 +363,13 @@ def parse_monodromy(text: str) -> MonodromyFile:
         elif line.startswith("compose "):
             name, expr = _definition(line, "compose", line_no)
             steps = []
+            end = raw.index(":")
             for item in expr.replace("*", " ").split():
-                if item.endswith("^-1"):
-                    steps.append((item[:-3], -1))
-                else:
-                    steps.append((item, 1))
+                start = raw.index(item, end)
+                end = start + len(item)
+                path, sign = (item[:-3], -1) if item.endswith("^-1") else (item, 1)
+                steps.append((path, sign))
+                references.append((path, line_no, start + 1))
             compositions.append((name, tuple(steps)))
         elif line.startswith("infinity"):
             _, expr = _definition(line, "infinity", line_no)
@@ -380,6 +381,10 @@ def parse_monodromy(text: str) -> MonodromyFile:
 
     if strands is None:
         raise ParseError("missing 'strands' declaration", 1, 1)
+    named = {name for name, _ in paths}
+    for name, line_no, col in references:
+        if name not in named:
+            raise ParseError(f"unknown path name {name!r}", line_no, col)
     table = PathTable(strands, tuple(paths))
     for name, steps in compositions:
         braids.append((name, compose_path_monodromy(table, steps)))

@@ -27,12 +27,12 @@ from .exactalg import (
     matrix_rank,
     poly_gcd,
 )
-from .fpgroups import Presentation, Word
+from .fpgroups import InputError, Presentation, Word
 
 GroupRingElt = dict[tuple[int, ...], int]
 
 
-class CharVarError(ValueError):
+class CharVarError(InputError):
     """Wrong-mode and inconsistent-character errors."""
 
 
@@ -82,11 +82,10 @@ def word_image(w: Word, group: AbelianGroup) -> GroupRingElt:
     return {group.image_of_word(w): 1}
 
 
-def fox_matrix(pres: Presentation, group: AbelianGroup | None = None
+def fox_matrix(pres: Presentation, group: AbelianGroup
                ) -> list[list[GroupRingElt]]:
-    """Relator-by-generator matrix of abelianized Fox derivatives."""
-    if group is None:
-        group = abelianization(pres)
+    """Relator-by-generator matrix of abelianized Fox derivatives; ``group``
+    is the abelianization of ``pres``."""
     return [[fox_derivative(rel, j, group) for j in range(1, pres.rank + 1)]
             for rel in pres.relators]
 
@@ -129,12 +128,18 @@ def twisted_complex(pres: Presentation, xi: Character,
                     group: AbelianGroup | None = None) -> TwistedComplex:
     if group is None:
         group = abelianization(pres)
+    return _complex_at(fox_matrix(pres, group), pres.rank, group, xi)
+
+
+def _complex_at(fox: list[list[GroupRingElt]], rank: int, group: AbelianGroup,
+                xi: Character) -> TwistedComplex:
+    """The twisted complex at xi, evaluating a Fox matrix computed once."""
     _check_character(group, xi)
     n = xi.modulus
     one = CycloNumber.rational(n, 1)
     d1 = [evaluate_elt(word_image((i,), group), xi) - one
-          for i in range(1, pres.rank + 1)]
-    rows = [[evaluate_elt(e, xi) for e in row] for row in fox_matrix(pres, group)]
+          for i in range(1, rank + 1)]
+    rows = [[evaluate_elt(e, xi) for e in row] for row in fox]
     return TwistedComplex(xi, d1, FieldMatrix(n, rows))
 
 
@@ -212,7 +217,9 @@ def charvar_finite_torus(pres: Presentation,
             "abelianization is infinite; use the rank-one mode")
     n = group.exponent()
     chars = characters_of_order_dividing(group, n)
-    depths = [(xi, twisted_complex(pres, xi, group).h1_dim()) for xi in chars]
+    fox = fox_matrix(pres, group)
+    depths = [(xi, _complex_at(fox, pres.rank, group, xi).h1_dim())
+              for xi in chars]
     return FiniteTorusVariety(group, n, depths)
 
 

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
+from pathlib import Path
 
 from . import braids, cosets, curves, orbifold
 from .abelian import AbelianGroup, abelianization, quotient_invariants
-from .charvar import CharVarError, FiniteTorusVariety, characteristic_variety
-from .cosets import CosetOverflow, InvalidSubgroup, SearchCapExceeded, SubgroupSpec
+from .charvar import FiniteTorusVariety, characteristic_variety
+from .cosets import CosetOverflow, SearchCapExceeded, SubgroupSpec
 from .fpgroups import (
-    ParseError,
+    InputError,
     Presentation,
     parse_presentation,
     parse_words,
@@ -47,8 +47,7 @@ def preset_text(name: str, suffix: str) -> str:
 def load_monodromy(name_or_path: str) -> braids.MonodromyFile:
     if name_or_path in MONODROMY_PRESETS:
         return braids.parse_monodromy(preset_text(name_or_path, ".braid"))
-    with open(name_or_path, encoding="utf-8") as handle:
-        return braids.parse_monodromy(handle.read())
+    return braids.parse_monodromy(Path(name_or_path).read_text(encoding="utf-8"))
 
 
 def load_presentation(args) -> Presentation:
@@ -58,28 +57,17 @@ def load_presentation(args) -> Presentation:
     if getattr(args, "preset", None):
         return parse_presentation(preset_text(args.preset, ".grp"))
     if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as handle:
-            return parse_presentation(handle.read())
-    raise SystemExit2("no presentation given: pass FILE, --preset or --orbifold")
+        return parse_presentation(Path(args.file).read_text(encoding="utf-8"))
+    raise InputError("no presentation given: pass FILE, --preset or --orbifold")
 
 
-class SystemExit2(Exception):
-    """Input errors that should exit with code 2."""
-
-
-def default_max_cosets(args) -> int:
-    if getattr(args, "max_cosets", None) is not None:
-        if args.max_cosets < 1:
-            raise SystemExit2("--max-cosets must be at least 1")
-        return args.max_cosets
-    env = os.environ.get("MERIDIAN_MAX_COSETS")
-    if not env:
-        return 10 ** 6
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit2(f"MERIDIAN_MAX_COSETS must be an integer,"
-                          f" got {env!r}") from None
+def coset_cap(args) -> dict:
+    """--max-cosets as todd_coxeter's keyword; absent, its default applies."""
+    if args.max_cosets is None:
+        return {}
+    if args.max_cosets < 1:
+        raise InputError("--max-cosets must be at least 1")
+    return {"max_cosets": args.max_cosets}
 
 
 def note_tietze_stop(result, what: str) -> None:
@@ -89,11 +77,19 @@ def note_tietze_stop(result, what: str) -> None:
               f" more moves were available", file=sys.stderr)
 
 
+def _simplify(pres: Presentation, name: str) -> Presentation:
+    """Tietze-simplify a presentation at the default budget, noting a stop."""
+    result = tietze_simplify(pres)
+    note_tietze_stop(result, f"of the {name} presentation stopped at its"
+                             f" budget")
+    return result.presentation
+
+
 def _integer(text: str, source: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SystemExit2(f"expected an integer in {source!r}") from None
+        raise InputError(f"expected an integer in {source!r}") from None
 
 
 def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
@@ -106,22 +102,20 @@ def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
             if "->" in token:
                 break
             for factor in token.split("x"):
-                factor = factor.strip()
                 if factor.startswith("Z/"):
                     moduli.append(_integer(factor[2:], token))
                 elif factor:
-                    raise SystemExit2(f"bad kernel target component {factor!r}")
+                    raise InputError(f"bad kernel target component {factor!r}")
         if any(m < 1 for m in moduli):
-            raise SystemExit2("kernel target moduli must be at least 1")
-        arrow_part = [t for t in parts[1:] if "->" in t]
+            raise InputError("kernel target moduli must be at least 1")
         images = {name: (0,) * len(moduli) for name in pres.generators}
-        for token in arrow_part:
+        for token in (t for t in parts[1:] if "->" in t):
             name, _, value = token.partition("->")
             if name not in pres.generators:
-                raise SystemExit2(f"unknown generator {name!r} in kernel spec")
+                raise InputError(f"unknown generator {name!r} in kernel spec")
             coords = tuple(_integer(v, token) for v in value.split(","))
             if len(coords) != len(moduli):
-                raise SystemExit2("kernel image has wrong number of coordinates")
+                raise InputError("kernel image has wrong number of coordinates")
             images[name] = coords
         return SubgroupSpec.kernel_of(
             moduli, [images[name] for name in pres.generators])
@@ -131,7 +125,7 @@ def parse_subgroup_spec(text: str, pres: Presentation) -> SubgroupSpec:
         return SubgroupSpec.from_words(parse_words(body, index))
     if text in ("trivial", ""):
         return SubgroupSpec.trivial()
-    raise SystemExit2(f"cannot parse subgroup spec {text!r}")
+    raise InputError(f"cannot parse subgroup spec {text!r}")
 
 
 def parse_abelian(text: str) -> AbelianGroup:
@@ -154,10 +148,10 @@ def parse_abelian(text: str) -> AbelianGroup:
         elif part.startswith("Z/"):
             torsion.append(_integer(part[2:], text))
         else:
-            raise SystemExit2(f"cannot parse abelian group component {part!r}")
+            raise InputError(f"cannot parse abelian group component {part!r}")
     if rank < 0 or any(d < 1 for d in torsion):
-        raise SystemExit2(f"abelian group {text!r}: ranks must be at least 0"
-                          " and orders at least 1")
+        raise InputError(f"abelian group {text!r}: ranks must be at least 0"
+                         " and orders at least 1")
     k = len(torsion)
     finite = quotient_invariants(
         ([d if j == i else 0 for j in range(k)] for i, d in enumerate(torsion)), k)
@@ -183,7 +177,7 @@ def cmd_zvk(args) -> int:
         data = braids.MonodromyData(data.strands, data.braids, None)
     pres = braids.zvk_presentation(data, args.reduction)
     if args.simplify:
-        pres = tietze_simplify(pres).presentation
+        pres = _simplify(pres, "zvk")
     emit(args, [print_presentation(pres).rstrip("\n")], {
         "command": "zvk",
         "generators": list(pres.generators),
@@ -248,7 +242,7 @@ def cmd_order(args) -> int:
     pres = load_presentation(args)
     spec = parse_subgroup_spec(args.subgroup, pres) if args.subgroup \
         else SubgroupSpec.trivial()
-    table = cosets.todd_coxeter(pres, spec, default_max_cosets(args))
+    table = cosets.todd_coxeter(pres, spec, **coset_cap(args))
     label = "order" if spec.is_trivial_subgroup() else "index"
     emit(args, [f"{label} {table.index}"], {
         "command": "order", "kind": label, "value": table.index,
@@ -258,8 +252,7 @@ def cmd_order(args) -> int:
 
 def cmd_center(args) -> int:
     pres = load_presentation(args)
-    table = cosets.todd_coxeter(pres, SubgroupSpec.trivial(),
-                                default_max_cosets(args))
+    table = cosets.todd_coxeter(pres, **coset_cap(args))
     _, center, invariants = cosets.regular_rep_and_center(table)
     emit(args, [f"order {table.index}",
                 f"center of order {len(center)}: {invariants}"], {
@@ -273,10 +266,10 @@ def cmd_center(args) -> int:
 
 def cmd_subgroup(args) -> int:
     if args.tietze_budget < 0:
-        raise SystemExit2("--tietze-budget must be at least 0")
+        raise InputError("--tietze-budget must be at least 0")
     pres = load_presentation(args)
     spec = parse_subgroup_spec(args.spec, pres)
-    table = cosets.todd_coxeter(pres, spec, default_max_cosets(args))
+    table = cosets.todd_coxeter(pres, spec, **coset_cap(args))
     result = cosets.reidemeister_schreier(pres, table,
                                           tietze_budget=args.tietze_budget)
     note_tietze_stop(result, f"stopped at --tietze-budget {args.tietze_budget}")
@@ -328,7 +321,7 @@ def cmd_orbifold(args) -> int:
 def cmd_obstruct(args) -> int:
     if args.finite is not None:
         if args.finite < 1:
-            raise SystemExit2("--finite must be at least 1")
+            raise InputError("--finite must be at least 1")
         ab = parse_abelian(args.ab or "1")
         report = orbifold.obstruct_finite(args.finite, ab)
         lines = [f"verdict: {report.verdict}"]
@@ -367,25 +360,25 @@ def target_mult_table(name: str) -> cosets.MultTable:
     if name.startswith("cyclic-"):
         n = _integer(name[len("cyclic-"):], name)
         if n < 1:
-            raise SystemExit2(f"target {name!r}: cyclic-N needs N >= 1")
+            raise InputError(f"target {name!r}: cyclic-N needs N >= 1")
         return cosets.cyclic_table(n)
     if name.startswith("dihedral-"):
         n = _integer(name[len("dihedral-"):], name)
         if n < 2 or n % 2:
-            raise SystemExit2(
+            raise InputError(
                 f"target {name!r}: dihedral-N needs an even N >= 2")
         return cosets.dihedral_table(n)
     if name == "degtyarev-320":
         pres = parse_presentation(preset_text("degtyarev-projective", ".grp"))
         return cosets.regular_rep(cosets.todd_coxeter(pres))
-    raise SystemExit2(f"unknown target group {name!r}")
+    raise InputError(f"unknown target group {name!r}")
 
 
 def cmd_homs(args) -> int:
     if args.limit < 0:
-        raise SystemExit2("--limit must be at least 0")
+        raise InputError("--limit must be at least 0")
     if args.cap < 0:
-        raise SystemExit2("--cap must be at least 0")
+        raise InputError("--cap must be at least 0")
     pres = load_presentation(args)
     table = target_mult_table(args.target)
     found = cosets.find_epimorphisms(pres, table, cap=args.cap)
@@ -428,14 +421,6 @@ def cmd_verify_curves(args) -> int:
     return OK if all(ok for _, ok, _ in checks) else NEGATIVE
 
 
-def _simplify(pres: Presentation, name: str) -> Presentation:
-    """Tietze-simplify one pipeline presentation, noting a budget stop."""
-    result = tietze_simplify(pres)
-    note_tietze_stop(result, f"of the {name} presentation stopped at its"
-                             f" budget")
-    return result.presentation
-
-
 def cmd_pipeline(args) -> int:
     name = {"degtyarev": "degtyarev-newbraid"}.get(args.preset, args.preset)
     mono = load_monodromy(name)
@@ -455,17 +440,15 @@ def cmd_pipeline(args) -> int:
     lines.append(f"abelianization: {ab}")
     doc["abelianization"] = str(ab)
 
-    max_cosets = default_max_cosets(args)
+    cap = coset_cap(args)
     proj = braids.zvk_presentation(mono.monodromy, "block")
-    table = cosets.todd_coxeter(_simplify(proj, "projective"),
-                                max_cosets=max_cosets)
+    table = cosets.todd_coxeter(_simplify(proj, "projective"), **cap)
     lines.append(f"projective quotient (infinity meridian added):"
                  f" order {table.index}")
     doc["projective_order"] = table.index
 
     merid = raw.with_relators([(1,) * 5])
-    table5 = cosets.todd_coxeter(_simplify(merid, "meridian^5"),
-                                 max_cosets=max_cosets)
+    table5 = cosets.todd_coxeter(_simplify(merid, "meridian^5"), **cap)
     lines.append(f"meridian^5 quotient: order {table5.index}")
     doc["meridian5_order"] = table5.index
 
@@ -596,8 +579,7 @@ def main(argv=None) -> int:
     except (CosetOverflow, SearchCapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE_LIMIT
-    except (SystemExit2, ParseError, InvalidSubgroup, CharVarError,
-            KeyError, ValueError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -28,7 +28,7 @@ from itertools import product
 from . import fpgroups
 from .abelian import AbelianGroup
 from .exactalg import prime_divisors
-from .fpgroups import Presentation, Word, invert, multiply, reduce_word
+from .fpgroups import InputError, Presentation, Word, invert, multiply, reduce_word
 
 
 class CosetOverflow(RuntimeError):
@@ -43,7 +43,7 @@ class SearchCapExceeded(RuntimeError):
     """The epimorphism search space is larger than the cap allows."""
 
 
-class InvalidSubgroup(ValueError):
+class InvalidSubgroup(InputError):
     """Kernel-mode subgroup data that does not contain all relators."""
 
 

@@ -18,7 +18,12 @@ class WordError(ValueError):
     """Raised for malformed words (zero letters, out-of-range indices)."""
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Input the user must correct; the command line exits 2 on it, and on
+    nothing else."""
+
+
+class ParseError(InputError):
     """Syntax or scope error in presentation text, with line/column info."""
 
     def __init__(self, message, line, column):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .abelian import AbelianGroup, abelianization, surjects_onto
 from .charvar import FiniteTorusVariety, RankOneVariety
 from .cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
-from .fpgroups import Presentation, commutator, multiply, power
+from .fpgroups import InputError, Presentation, commutator, multiply, power
 from .nilpotent import lcs_quotients
 
 
@@ -29,9 +29,9 @@ class OrbifoldSignature:
     def __init__(self, genus: int = 0, punctures: int = 0,
                  multiplicities: tuple[int, ...] = ()):
         if genus < 0 or punctures < 0:
-            raise ValueError("genus and puncture count must be nonnegative")
+            raise InputError("genus and puncture count must be nonnegative")
         if any(m < 2 for m in multiplicities):
-            raise ValueError("orbifold multiplicities must be at least 2")
+            raise InputError("orbifold multiplicities must be at least 2")
         self.genus = genus
         self.punctures = punctures
         self.multiplicities = tuple(sorted(multiplicities))
@@ -62,7 +62,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
     for field in text.replace(";", " ").split():
         key, _, value = field.partition("=")
         if key not in ("g", "k", "m"):
-            raise ValueError(f"unknown signature field {key!r}")
+            raise InputError(f"unknown signature field {key!r}")
         try:
             if key == "g":
                 genus = int(value)
@@ -71,7 +71,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
             else:
                 mults = tuple(int(v) for v in value.split(",") if v)
         except ValueError:
-            raise ValueError(f"expected integers in signature field"
+            raise InputError(f"expected integers in signature field"
                              f" {field!r}") from None
     return OrbifoldSignature(genus, punctures, mults)
 
@@ -215,7 +215,7 @@ def obstruct_finite(order: int, ab: AbelianGroup) -> ObstructionReport:
     from ab(G).
     """
     if ab.rank:
-        raise ValueError("expected a finite abelianization")
+        raise InputError("expected a finite abelianization")
     reports: list[CandidateReport] = []
     candidates: list[tuple[int, ...]] = []
     n = 3
@@ -288,7 +288,7 @@ def obstruct_infinite_rank_one(pres: Presentation,
 
     if not (ab.rank == 1 and not ab.torsion
             or ab.rank == 0 and ab.exponent() % 10 == 0):
-        raise ValueError("expected abelianization Z (or finite of exponent"
+        raise InputError("expected abelianization Z (or finite of exponent"
                          " divisible by 10)")
     v1_prim10 = variety.contains_primitive(1, 10)
     v2_prim10 = variety.contains_primitive(2, 10)

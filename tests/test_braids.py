@@ -266,6 +266,24 @@ class TestMonodromyFormat:
         assert (err.value.line, err.value.column) == (line, column)
         assert f"undeclared generator {name!r}" in str(err.value)
 
+    @pytest.mark.parametrize("text,line,column,message", [
+        ("strands 0;\n", 1, 1, "a braid needs at least one strand"),
+        ("strands 3;\npath a: s1;\nstrands 4;\n", 3, 1,
+         "'strands' declared twice"),
+        ("strands 3;\npath a: s1;\n  compose m: a^-1 * b*a;\n", 3, 21,
+         "unknown path name 'b'"),
+    ])
+    def test_monodromy_input_errors_have_position(self, text, line, column,
+                                                  message):
+        with pytest.raises(ParseError) as err:
+            parse_monodromy(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"{line}:{column}: {message}"
+
+    def test_compose_may_name_a_later_path(self):
+        mono = parse_monodromy("strands 2;\ncompose m: a^-1;\npath a: s1;\n")
+        assert mono.monodromy.braids == (("m", BraidWord(2, (-1,))),)
+
     def test_malformed_strands_line(self):
         with pytest.raises(ParseError):
             parse_monodromy("strands;\n")

@@ -175,6 +175,24 @@ class TestFiniteTorus:
                 assert v.contains_primitive(k, n) == \
                     (bool(dims) and min(dims) >= k), (n, k)
 
+    def test_depths_match_twisted_complex_per_character(self, presets):
+        # the variety evaluates one Fox matrix at every character, while
+        # twisted_complex builds its own each time
+        rng = random.Random(7)
+        cases = [presets[name] for name in (
+            "degtyarev-projective", "p1-2-5-10", "p1-2-2-5-5", "c-2-3")]
+        cases += [random_presentation(rng, 3, 4) for _ in range(40)]
+        checked = 0
+        for pres in cases:
+            group = abelianization(pres)
+            if group.rank or group.exponent() > 12:
+                continue
+            v = charvar_finite_torus(pres, group)
+            assert v.depths == [(xi, twisted_complex(pres, xi, group).h1_dim())
+                                for xi, _ in v.depths]
+            checked += 1
+        assert checked >= 10
+
     def test_contains_primitive_tenth_roots(self, presets):
         v2510 = charvar_finite_torus(presets["p1-2-5-10"])
         assert v2510.contains_primitive(1, 10)

@@ -9,6 +9,7 @@ import pytest
 import meridian.abelian
 import meridian.charvar
 from meridian import cli
+from meridian.braids import MonodromyData, parse_monodromy, zvk_presentation
 from meridian.cli import preset_text
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from meridian.fpgroups import parse_presentation, print_presentation, tietze_simplify
@@ -134,11 +135,6 @@ class TestExitCodes:
 
     def test_resource_limit_is_exit_three(self):
         out = run("order", "--preset", "free2", "--max-cosets", "100")
-        assert out.returncode == 3
-
-    def test_env_var_cap(self):
-        out = run("order", "--preset", "free2",
-                  env_extra={"MERIDIAN_MAX_COSETS": "100"})
         assert out.returncode == 3
 
     def test_cap_counts_table_rows(self):
@@ -301,10 +297,51 @@ class TestMalformedInputMessages:
         self.check(run("charvar", "--orbifold", "g=0 k=0 m=2,x"),
                    "expected integers in signature field 'm=2,x'")
 
-    def test_max_cosets_variable(self):
-        self.check(run("order", "--preset", "c-2-3",
-                       env_extra={"MERIDIAN_MAX_COSETS": "abc"}),
-                   "MERIDIAN_MAX_COSETS must be an integer, got 'abc'")
+
+class TestInputBoundary:
+    """Exit code 2 means bad input: an InputError or an unreadable file.
+    Any other exception is a fault of the program and is not caught."""
+
+    BAD_FILES = {
+        "bad.braid": b"strands 3;\npath a: s1;\ncompose m: a * b;\n",
+        "latin1.grp": b"gens x; rel x^2; # \xe9\xff\n",
+        "zero.braid": b"strands 0;\n",
+    }
+
+    @pytest.mark.parametrize("args,message", [
+        (("obstruct", "--preset", "c-2-3"),
+         "expected abelianization Z (or finite of exponent divisible by 10)"),
+        (("obstruct", "--preset", "degtyarev-projective"),
+         "expected abelianization Z (or finite of exponent divisible by 10)"),
+        (("obstruct", "--finite", "12", "--ab", "Z"),
+         "expected a finite abelianization"),
+        (("abelianize", "--orbifold", "g=-1"),
+         "genus and puncture count must be nonnegative"),
+        (("abelianize", "--orbifold", "q=1"), "unknown signature field 'q'"),
+        (("abelianize", "--orbifold", "m=1"),
+         "orbifold multiplicities must be at least 2"),
+        (("zvk", "bad.braid"), "3:16: unknown path name 'b'"),
+        (("abelianize", "latin1.grp"), "'utf-8' codec can't decode byte 0xe9"
+         " in position 19: invalid continuation byte"),
+        (("zvk", "zero.braid"), "1:1: a braid needs at least one strand"),
+    ])
+    def test_bad_input_is_exit_two(self, tmp_path, args, message):
+        for name, data in self.BAD_FILES.items():
+            (tmp_path / name).write_bytes(data)
+        out = run(*(str(tmp_path / a) if a in self.BAD_FILES else a
+                    for a in args))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fault", [ValueError, KeyError])
+    def test_internal_faults_are_not_input_errors(self, monkeypatch, fault):
+        def broken(pres):
+            raise fault("internal")
+
+        monkeypatch.setattr(cli, "characteristic_variety", broken)
+        with pytest.raises(fault):
+            cli.main(["charvar", "--preset", "c-2-3"])
 
 
 class TestRankOneCharvar:
@@ -461,6 +498,33 @@ class TestDeterminismAndJson:
             f" at its budget after 1 moves; more moves were available\n"
             for name in ("affine", "projective", "meridian^5"))
         assert "order 320" in out and "note" not in out
+
+    @pytest.mark.parametrize("preset", [
+        "degtyarev-projective", "p1-2-5-10", "p1-2-2-5-5", "c-2-3"])
+    def test_finite_torus_builds_fox_matrix_once(self, monkeypatch, capsys,
+                                                 preset):
+        calls = count_calls(monkeypatch, meridian.charvar.fox_matrix)
+        assert cli.main(["charvar", "--preset", preset]) == 0
+        assert capsys.readouterr().out.startswith("character torus: Z/")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("monodromy", ["degtyarev-table1",
+                                           "degtyarev-newbraid"])
+    def test_zvk_simplify_notes_tietze_budget_stop(self, monkeypatch, capsys,
+                                                   monodromy):
+        argv = ["zvk", monodromy, "--simplify"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(cli, "tietze_simplify",
+                            lambda pres, budget=10000: tietze_simplify(pres, 1))
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ("note: Tietze simplification of the zvk presentation"
+                       " stopped at its budget after 1 moves; more moves were"
+                       " available\n")
+        mono = parse_monodromy(preset_text(monodromy, ".braid")).monodromy
+        raw = zvk_presentation(MonodromyData(mono.strands, mono.braids), "block")
+        assert out == print_presentation(tietze_simplify(raw, 1).presentation)
 
     def test_pipeline_on_table1(self):
         out = run("pipeline", "--preset", "degtyarev-table1")
