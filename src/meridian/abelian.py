@@ -28,21 +28,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
 class SmithForm:
     """U * M * V = diag(d1, ..., dr) with d1 | d2 | ... and U, V unimodular."""
 
@@ -179,9 +164,6 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank torsion gen_images",
     def _normalize(self, coords) -> tuple[int, ...]:
         return tuple(c % d if d else c
                      for c, d in zip(coords, self.coordinate_orders))
-
-    def is_trivial_image(self, w: Word) -> bool:
-        return not any(self.image_of_word(w))
 
     def __str__(self):
         parts = []
@@ -337,9 +319,6 @@ class Character(namedtuple("Character", "modulus exponents")):
     """
 
     __slots__ = ()
-
-    def is_trivial(self) -> bool:
-        return not any(e % self.modulus for e in self.exponents)
 
     def value_exponent(self, coords) -> int:
         """Exponent k with xi(element) = zeta_N^k, for coordinate vector coords."""

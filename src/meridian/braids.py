@@ -326,6 +326,11 @@ def _definition(line: str, keyword: str, line_no: int) -> tuple[str, str]:
     return head[len(keyword):].strip(), expr
 
 
+def _expr_column(raw: str) -> int:
+    """Column in the raw line of the first character after the colon."""
+    return raw.index(":") + 2
+
+
 def parse_monodromy(text: str) -> MonodromyFile:
     """Parse the monodromy text format described above."""
     strands: int | None = None
@@ -357,7 +362,8 @@ def parse_monodromy(text: str) -> MonodromyFile:
             if strands is None:
                 raise ParseError("braid word before 'strands' declaration",
                                  line_no, 1)
-            letters = parse_word(expr, _letters("s", strands - 1), line_no)
+            letters = parse_word(expr, _letters("s", strands - 1), line_no,
+                                 _expr_column(raw))
             entry = (name, BraidWord(strands, letters))
             (paths if kind == "path" else braids).append(entry)
         elif line.startswith("compose "):
@@ -375,7 +381,8 @@ def parse_monodromy(text: str) -> MonodromyFile:
             _, expr = _definition(line, "infinity", line_no)
             if strands is None:
                 raise ParseError("'infinity' before 'strands'", line_no, 1)
-            infinity = parse_word(expr, _letters("g", strands), line_no)
+            infinity = parse_word(expr, _letters("g", strands), line_no,
+                                  _expr_column(raw))
         else:
             raise ParseError(f"unknown statement {line.split()[0]!r}", line_no, 1)
 

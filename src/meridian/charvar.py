@@ -16,6 +16,8 @@ abelianization to integers.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .abelian import AbelianGroup, Character, abelianization, characters_of_order_dividing
 from .exactalg import (
     CycloNumber,
@@ -25,6 +27,7 @@ from .exactalg import (
     cyclotomic_polynomial,
     euler_phi,
     matrix_rank,
+    poly_det,
     poly_gcd,
 )
 from .fpgroups import InputError, Presentation, Word
@@ -243,30 +246,13 @@ def _row_to_polys(row: list[GroupRingElt]) -> list[UniPoly]:
     return out
 
 
-def _poly_minors(matrix: list[list[UniPoly]], size: int) -> list[UniPoly]:
-    from itertools import combinations
-
-    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-    out = []
-    for ris in combinations(range(rows), size):
-        for cjs in combinations(range(cols), size):
-            out.append(_poly_det([[matrix[i][j] for j in cjs] for i in ris]))
-    return out
-
-
-def _poly_det(m: list[list[UniPoly]]) -> UniPoly:
-    if not m:
-        return UniPoly([1])
-    if len(m) == 1:
-        return m[0][0]
-    out = UniPoly()
-    for j, head in enumerate(m[0]):
-        if head.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = head * _poly_det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+def _poly_minors(matrix: list[list[UniPoly]], size: int):
+    """The size-by-size minors of a matrix with at least size rows and
+    columns, one at a time, in a fixed order."""
+    for ris in combinations(range(len(matrix)), size):
+        rows = [matrix[i] for i in ris]
+        for cjs in combinations(range(len(matrix[0])), size):
+            yield poly_det([[row[j] for j in cjs] for row in rows])
 
 
 class RankOneStratum:
@@ -364,14 +350,15 @@ def charvar_rank_one(pres: Presentation,
         if size <= 0:
             strata.append(RankOneStratum(k, False, {}, UniPoly([1]), includes_one))
             break
-        minors = _poly_minors(matrix, size) if matrix and size <= len(matrix) else []
-        if not minors:
+        if size > len(matrix):
             # too few relators to constrain the rank: every character qualifies
             strata.append(RankOneStratum(k, True, {}, UniPoly(), includes_one))
             continue
         acc = UniPoly()
-        for mnr in minors:
+        for mnr in _poly_minors(matrix, size):
             acc = poly_gcd(acc, mnr)
+            if acc.degree == 0:
+                break       # the monic gcd is 1, whatever the other minors are
         if acc.is_zero():
             strata.append(RankOneStratum(k, True, {}, UniPoly(), includes_one))
             continue

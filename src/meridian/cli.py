@@ -1,7 +1,8 @@
 """Command-line front end: reproducible pipelines over the library modules.
 
 Exit codes: 0 success, 1 mathematically negative answer (no epimorphism, no
-candidate target, identity fails), 2 input error, 3 resource limit hit.
+candidate target, identity fails), 2 input error, 3 resource limit hit, 70
+(EX_SOFTWARE) a fault of the program, reported with its traceback.
 Output is deterministic: identical invocations print identical bytes.
 """
 
@@ -27,7 +28,7 @@ from .fpgroups import (
 )
 from .nilpotent import lcs_quotients
 
-OK, NEGATIVE, INPUT_ERROR, RESOURCE_LIMIT = 0, 1, 2, 3
+OK, NEGATIVE, INPUT_ERROR, RESOURCE_LIMIT, INTERNAL_FAULT = 0, 1, 2, 3, 70
 
 PRESENTATION_PRESETS = (
     "degtyarev-affine", "degtyarev-affine-xt", "degtyarev-projective",
@@ -582,6 +583,10 @@ def main(argv=None) -> int:
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception:
+        import traceback    # only a crash needs it; start-up stays lean
+        traceback.print_exc()
+        return INTERNAL_FAULT
 
 
 if __name__ == "__main__":

@@ -105,9 +105,6 @@ class MultiPoly:
             n >>= 1
         return out
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Substitute MultiPolys (over a common variable tuple) for variables.
 

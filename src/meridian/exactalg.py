@@ -1,10 +1,15 @@
-"""Exact arithmetic: rational polynomials, cyclotomic fields, ranks, resultants.
+"""Exact arithmetic: one polynomial core for Z[t] and Q[t], cyclotomic
+fields, ranks, resultants.
 
-Polynomials over Q are built on ``fractions.Fraction``; cyclotomic polynomials
-Phi_N and the extraction of cyclotomic factors work over the integers.  No
-floating point enters any computation.  Cyclotomic numbers live in
-Q[x]/Phi_N(x) and polynomials are dense coefficient lists with trailing zeros
-stripped.
+A ``UniPoly`` coefficient is a Python ``int`` until a division that is not
+exact in Z makes it a ``fractions.Fraction``; every coefficient division goes
+through ``_divide``.  Integer polynomials (Fox minors, cyclotomic
+polynomials, residues mod Phi_N) so stay in Z[t], and rationals appear only
+where Q[t] needs them: ``poly_gcd``, ``monic`` and rational input.  No
+floating point enters any computation.  The one determinant routine is
+``poly_det``, fraction-free Bareiss elimination.  Cyclotomic numbers live in
+Q[x]/Phi_N(x) and polynomials are dense coefficient lists with trailing
+zeros stripped.
 """
 
 from __future__ import annotations
@@ -14,17 +19,29 @@ from functools import lru_cache
 from math import gcd, prod
 
 
+def _divide(a, b):
+    """a / b: an ``int`` when both are ints and b divides a, else a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
+
+
 class UniPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Z or Q.
 
     Coefficients are stored low degree first; the zero polynomial has an
-    empty coefficient list.
+    empty coefficient list.  An ``int`` coefficient stays an ``int``; any
+    other is stored as a ``Fraction``.  Sums and products of integer
+    polynomials have integer coefficients, and so has a quotient that is
+    exact in Z[t].
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -45,8 +62,8 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -77,7 +94,7 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -100,11 +117,11 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
         lc = other.leading()
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lc
+            c = _divide(rem[i], lc)
             if c:
                 q[i - d] = c
                 for j, b in enumerate(other.coeffs):
@@ -118,19 +135,16 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def evaluate(self, x):
-        y = Fraction(0)
+        y = 0
         for c in reversed(self.coeffs):
             y = y * x + c
         return y
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
         lc = self.leading()
-        return UniPoly([c / lc for c in self.coeffs])
+        return UniPoly([_divide(c, lc) for c in self.coeffs])
 
     def primitive_int(self) -> "UniPoly":
         """Integer-coefficient multiple with content 1 and positive leading."""
@@ -180,23 +194,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_xgcd(a: UniPoly, b: UniPoly):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly([1]), UniPoly()
-    t0, t1 = UniPoly(), UniPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    inv = UniPoly([Fraction(1) / lc])
-    return r0.monic(), s0 * inv, t0 * inv
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -333,19 +330,6 @@ class CycloNumber:
     __repr__ = __str__
 
 
-def cyclo_invert(a: CycloNumber) -> CycloNumber:
-    """Inverse in Q(zeta_N) via extended Euclid against Phi_N."""
-    if a.is_zero():
-        raise ZeroDivisionError("zero has no inverse in Q(zeta_N)")
-    phi = cyclotomic_polynomial(a.modulus)
-    g, s, _ = poly_xgcd(a.rep, phi)
-    if g.degree != 0:
-        # Phi_N is irreducible over Q, so the gcd of a nonzero residue with
-        # it is always 1.
-        raise ArithmeticError("residue not invertible; corrupted element")
-    return CycloNumber(a.modulus, s * UniPoly([Fraction(1) / g.coeffs[0]]))
-
-
 class FieldMatrix:
     """Rectangular matrix over a single Q(zeta_N)."""
 
@@ -423,11 +407,13 @@ class BiPoly:
         return BiPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
 
-def _poly_det_bareiss(m: list[list[UniPoly]]) -> UniPoly:
-    """Determinant of a matrix over Q[x] by fraction-free Bareiss elimination.
+def poly_det(m: list[list[UniPoly]]) -> UniPoly:
+    """Determinant of a square matrix over Z[x] or Q[x] by fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 1968).
 
-    Every division performed is exact in Q[x], so no rational functions ever
-    appear.
+    Every division is exact in the coefficient ring of the entries, so no
+    rational function ever appears and integer entries give an integer
+    determinant.
     """
     n = len(m)
     if n == 0:
@@ -475,7 +461,7 @@ def resultant_y(f: BiPoly, g: BiPoly) -> UniPoly:
         return f.coeffs[0] ** g.degree_y
     if g.degree_y == 0:
         return g.coeffs[0] ** f.degree_y
-    return _poly_det_bareiss(sylvester_matrix(f, g))
+    return poly_det(sylvester_matrix(f, g))
 
 
 def discriminant_y(f: BiPoly) -> UniPoly:
@@ -540,7 +526,7 @@ def cyclotomic_factors(p: UniPoly):
     left, which it must if Phi_N is a factor.
     """
     factors: dict[int, int] = {}
-    rem = [int(c) for c in p.primitive_int().coeffs]
+    rem = list(p.primitive_int().coeffs)
     rem_at_two = sum(c << i for i, c in enumerate(rem))
     for n, degree in _phi_at_most(len(rem) - 1):
         if degree >= len(rem):
@@ -549,7 +535,7 @@ def cyclotomic_factors(p: UniPoly):
         if rem_at_two % phi_at_two:
             continue        # Phi_N | rem would make Phi_N(2) divide rem(2)
         lower = cyclotomic_polynomial(n).coeffs[:-1]
-        terms = [(j, c.numerator) for j, c in enumerate(lower) if c]
+        terms = [(j, c) for j, c in enumerate(lower) if c]
         while degree < len(rem):
             quotient = _exact_quotient(rem, terms, degree)
             if quotient is None:

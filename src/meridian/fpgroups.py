@@ -216,9 +216,8 @@ def _syllables(w: Word):
 _PUNCT = set("();*^=[],")
 
 
-def _tokenize(text: str, line: int = 1):
+def _tokenize(text: str, line: int = 1, col: int = 1):
     tokens = []
-    col = 1
     i = 0
     while i < len(text):
         c = text[i]
@@ -259,8 +258,8 @@ def _tokenize(text: str, line: int = 1):
 
 
 class _Parser:
-    def __init__(self, text, line=1):
-        self.tokens = _tokenize(text, line)
+    def __init__(self, text, line=1, column=1):
+        self.tokens = _tokenize(text, line, column)
         self.pos = 0
 
     def peek(self):
@@ -365,13 +364,15 @@ def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse_file()
 
 
-def parse_word(text: str, index: dict[str, int], line: int = 1) -> Word:
+def parse_word(text: str, index: dict[str, int], line: int = 1,
+               column: int = 1) -> Word:
     """Parse one word of the grammar above, freely reduced.
 
-    ``index`` maps generator names to 1-based indices; ``line`` is the line
-    number that errors report.  Raises ParseError on trailing input.
+    ``index`` maps generator names to 1-based indices; ``line`` and
+    ``column`` are where the text starts, so errors report positions in the
+    enclosing file.  Raises ParseError on trailing input.
     """
-    parser = _Parser(text, line)
+    parser = _Parser(text, line, column)
     w = parser.parse_word(index)
     if parser.peek() is not None:
         parser.fail(f"trailing input {parser.peek()!r}")

@@ -139,9 +139,6 @@ class Trunc3:
                     _bump(d3, (i, j, k), -a * b * c)
         return Trunc3(self.n, _clean(d1), _clean(d2), _clean(d3))
 
-    def is_one(self) -> bool:
-        return not (_clean(self.d1) or _clean(self.d2) or _clean(self.d3))
-
 
 def _bump(d, key, c):
     if not c:

@@ -22,6 +22,12 @@ def random_presentation(rng: random.Random, max_rank: int = 4,
     return Presentation(names, relators)
 
 
+def mat_mul(a, b):
+    """Product of integer matrices, for checking Smith transforms U*M*V."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 @pytest.fixture(scope="session")
 def presets():
     names = ("degtyarev-affine", "degtyarev-affine-xt", "degtyarev-projective",

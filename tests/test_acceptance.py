@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from meridian.abelian import AbelianGroup, abelianization, characters_of_order_dividing, mat_mul, smith_normal_form
+from meridian.abelian import AbelianGroup, abelianization, characters_of_order_dividing, smith_normal_form
 from meridian.braids import (
     BraidWord,
     MonodromyData,
@@ -52,7 +52,7 @@ from meridian.orbifold import (
     obstruct_infinite_rank_one,
     orbifold_presentation,
 )
-from conftest import random_presentation
+from conftest import mat_mul, random_presentation
 
 
 def bw(*letters):

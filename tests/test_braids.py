@@ -256,9 +256,10 @@ class TestMonodromyFormat:
         assert pres.relators == (cyclic_reduce(letters),)
 
     @pytest.mark.parametrize("text,line,column,name", [
-        ("strands 3;\npath a: s1*s3;\n", 2, 5, "s3"),
-        ("strands 3;\nbraid b: s0;\n", 2, 2, "s0"),
-        ("strands 3;\nbraid b: s1;\n# note\ninfinity: g1*g4;\n", 4, 5, "g4"),
+        ("strands 3;\npath a: s1*s3;\n", 2, 12, "s3"),
+        ("strands 3;\nbraid b: s0;\n", 2, 10, "s0"),
+        ("strands 3;\nbraid b: s1;\n# note\ninfinity: g1*g4;\n", 4, 14, "g4"),
+        ("strands 3;\n  path a:s2 * s4;  # indented\n", 2, 15, "s4"),
     ])
     def test_out_of_range_letter_has_position(self, text, line, column, name):
         with pytest.raises(ParseError) as err:

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import meridian.charvar
 from meridian.abelian import Character, abelianization, characters_of_order_dividing
 from meridian.charvar import (
     CharVarError,
@@ -16,7 +17,7 @@ from meridian.charvar import (
     twisted_complex,
     twisted_h1_dim,
 )
-from meridian.exactalg import CycloNumber
+from meridian.exactalg import CycloNumber, poly_det
 from meridian.fpgroups import (
     Presentation,
     parse_presentation,
@@ -279,6 +280,22 @@ class TestRankOne:
             " rel x2 = x1*x3*x1^-1;"))
         assert v.stratum(1).describe() == "{1} u mu6-primitive"
         assert v.stratum(2).is_empty()
+
+    def test_unit_gcd_decides_the_stratum(self, monkeypatch):
+        # V2 of the Wirtinger trefoil: the 1-minors are its nine Fox entries,
+        # and the gcd of the first two, -t and t - 1, is already 1
+        sizes = []
+
+        def counted(m):
+            sizes.append(len(m))
+            return poly_det(m)
+
+        monkeypatch.setattr(meridian.charvar, "poly_det", counted)
+        v = charvar_rank_one(parse_presentation(
+            "gens x1 x2 x3; rel x3 = x2*x1*x2^-1; rel x1 = x3*x2*x3^-1;"
+            " rel x2 = x1*x3*x1^-1;"))
+        assert v.stratum(2).is_empty()
+        assert sizes == [2] * 9 + [1] * 2
 
     def test_no_root_at_zero(self):
         v = charvar_rank_one(parse_presentation(

@@ -334,14 +334,18 @@ class TestInputBoundary:
         assert out.stdout == ""
         assert out.stderr == f"error: {message}\n"
 
-    @pytest.mark.parametrize("fault", [ValueError, KeyError])
-    def test_internal_faults_are_not_input_errors(self, monkeypatch, fault):
+    @pytest.mark.parametrize("fault", [ValueError, KeyError, ZeroDivisionError])
+    def test_internal_faults_are_not_input_errors(self, monkeypatch, capsys,
+                                                  fault):
         def broken(pres):
             raise fault("internal")
 
         monkeypatch.setattr(cli, "characteristic_variety", broken)
-        with pytest.raises(fault):
-            cli.main(["charvar", "--preset", "c-2-3"])
+        assert cli.main(["charvar", "--preset", "c-2-3"]) == 70
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith(f"{fault.__name__}: {fault('internal')}\n")
 
 
 class TestRankOneCharvar:
@@ -395,6 +399,28 @@ class TestTorusKnotsBeyondOrder200:
         assert strata["1"]["residual"] == "1"
         assert strata["2"]["cyclotomic"] == {}
         assert strata["2"]["residual"] == "1"
+
+class TestTorusBraids:
+    """The braid (s1*...*s(p-1))^q is the monodromy of y^p = x^q; its ZvK
+    group is the T(p, q) torus-knot group, whose V1 away from 1 is the
+    primitive N-th roots of unity with N | pq dividing neither p nor q."""
+
+    @pytest.mark.parametrize("p,q", [(5, 19), (6, 25), (7, 29), (9, 20),
+                                     (11, 19)])
+    def test_zvk_then_charvar_matches_closed_form(self, tmp_path, capsys,
+                                                  p, q):
+        braid = tmp_path / "torus.braid"
+        word = "*".join(f"s{i}" for i in range(1, p))
+        braid.write_text(f"strands {p};\nbraid b: ({word})^{q};\n")
+        assert cli.main(["zvk", "--simplify", str(braid)]) == 0
+        grp = tmp_path / "torus.grp"
+        grp.write_text(capsys.readouterr().out)
+        assert cli.main(["charvar", str(grp)]) == 0
+        v1 = " u ".join(["{1}"] + [f"mu{n}-primitive"
+                                   for n in sorted(torus_knot_orders(p, q))])
+        assert capsys.readouterr().out == \
+            f"character torus: C*\nV1 = {v1}\nV2 = {{}}\n"
+
 
 class TestDeterminismAndJson:
     @pytest.mark.parametrize("args", [
