@@ -289,8 +289,8 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_lcs(args) -> int:
-    pres = load_presentation(args)
-    graded = lcs_quotients(pres, args.max_class)
+    graded = lcs_quotients(_simplify(load_presentation(args), "lcs"),
+                           args.max_class)
     lines = []
     doc = {}
     for d in range(1, args.max_class + 1):

@@ -28,6 +28,13 @@ def _divide(a, b):
     return Fraction(a, b)
 
 
+def _trim(cs: list) -> tuple:
+    """The coefficients without their trailing zeros."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 class UniPoly:
     """Dense univariate polynomial over Z or Q.
 
@@ -41,10 +48,16 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trim([c if isinstance(c, int) else Fraction(c)
+                             for c in coeffs])
+
+    @classmethod
+    def _of(cls, cs: list) -> "UniPoly":
+        """The polynomial on a list of ``int`` and ``Fraction`` coefficients
+        that arithmetic built: trailing zeros go, nothing is converted."""
+        poly = object.__new__(cls)
+        poly.coeffs = _trim(cs)
+        return poly
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "UniPoly":
@@ -81,25 +94,25 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return UniPoly._of(out)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
+            return UniPoly._of([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
-            return UniPoly()
+            return UniPoly._of([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -116,6 +129,8 @@ class UniPoly:
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if len(self.coeffs) < len(other.coeffs):
+            return UniPoly._of([]), self
         rem = list(self.coeffs)
         q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
@@ -126,7 +141,7 @@ class UniPoly:
                 q[i - d] = c
                 for j, b in enumerate(other.coeffs):
                     rem[i - d + j] -= c * b
-        return UniPoly(q), UniPoly(rem)
+        return UniPoly._of(q), UniPoly._of(rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -144,7 +159,7 @@ class UniPoly:
         if self.is_zero():
             return self
         lc = self.leading()
-        return UniPoly([_divide(c, lc) for c in self.coeffs])
+        return UniPoly._of([_divide(c, lc) for c in self.coeffs])
 
     def primitive_int(self) -> "UniPoly":
         """Integer-coefficient multiple with content 1 and positive leading."""

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian.abelian import abelianization, characters_of_order_dividing
 from meridian.braids import (
@@ -25,6 +26,7 @@ from meridian.fpgroups import (
     multiply,
     parse_presentation,
     reduce_word,
+    tietze_simplify,
 )
 from meridian.cosets import todd_coxeter
 from conftest import random_word
@@ -294,3 +296,41 @@ class TestMonodromyFormat:
             parse_monodromy("strands 3;\npath a: s9;\n")
         with pytest.raises(ParseError):
             parse_monodromy("path a: s1;\n")
+
+
+@st.composite
+def monodromies(draw):
+    strands = draw(st.integers(1, 6))
+    letters = [x for x in range(1 - strands, strands) if x]
+    words = st.lists(st.sampled_from(letters), max_size=10) if letters \
+        else st.just([])
+    braids = draw(st.lists(words, max_size=4))
+    return MonodromyData(strands, tuple(
+        (f"b{i}", BraidWord(strands, tuple(w))) for i, w in enumerate(braids)))
+
+
+def strand_orbits(data: MonodromyData) -> int:
+    root = list(range(data.strands + 1))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for _, braid in data.braids:
+        for i, j in enumerate(braid_permutation(braid), 1):
+            root[find(i)] = find(j)
+    return sum(find(i) == i for i in range(1, data.strands + 1))
+
+
+@settings(max_examples=150)
+@given(monodromies())
+def test_abelianization_is_free_on_strand_orbits(data):
+    # the relators g_i^-1 beta(g_i) abelianize to g_pi(i) = g_i, pi the
+    # permutation of beta, for every monodromy and either reduction
+    orbits = strand_orbits(data)
+    for reduction in ("none", "block"):
+        raw = zvk_presentation(data, reduction)
+        for pres in (raw, tietze_simplify(raw).presentation):
+            ab = abelianization(pres)
+            assert (ab.rank, ab.torsion) == (orbits, ())

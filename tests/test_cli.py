@@ -8,6 +8,7 @@ import pytest
 
 import meridian.abelian
 import meridian.charvar
+import meridian.nilpotent
 from meridian import cli
 from meridian.braids import MonodromyData, parse_monodromy, zvk_presentation
 from meridian.cli import preset_text
@@ -439,6 +440,9 @@ class TestDeterminismAndJson:
         ("pipeline", "--preset", "degtyarev"),
         ("--json", "pipeline", "--preset", "degtyarev"),
         ("homs", "--preset", "degtyarev-affine", "--target", "degtyarev-320"),
+        ("lcs", "--class", "3", str(INPUTS / "kernel-6.grp")),
+        ("subgroup", "--preset", "degtyarev-affine",
+         "--spec", "kernel Z/11 x->1 y->1"),
     ])
     def test_stdout_independent_of_hash_seed(self, args):
         outs = [subprocess.run(MODULE + list(args), capture_output=True,
@@ -551,6 +555,29 @@ class TestDeterminismAndJson:
         mono = parse_monodromy(preset_text(monodromy, ".braid")).monodromy
         raw = zvk_presentation(MonodromyData(mono.strands, mono.braids), "block")
         assert out == print_presentation(tietze_simplify(raw, 1).presentation)
+
+    def test_lcs_notes_tietze_budget_stop(self, monkeypatch, capsys):
+        # the graded quotients are group invariants, so a simplification cut
+        # short still gives the raw presentation's answer
+        monkeypatch.setattr(cli, "tietze_simplify",
+                            lambda pres, budget=10000: tietze_simplify(pres, 1))
+        argv = ["lcs", "--class", "3", str(INPUTS / "kernel-6.grp")]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ("note: Tietze simplification of the lcs presentation"
+                       " stopped at its budget after 1 moves; more moves were"
+                       " available\n")
+        assert out == (GOLDEN / "lcs-raw-kernel-6.out").read_text()
+
+    def test_lcs_simplifies_once_and_computes_once(self, monkeypatch, capsys):
+        simplified = count_calls(monkeypatch, tietze_simplify)
+        graded = count_calls(monkeypatch, meridian.nilpotent.lcs_quotients)
+        argv = ["lcs", "--class", "3", str(INPUTS / "kernel-4.grp")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(simplified) == 1
+        assert graded == [tietze_simplify(simplified[0]).presentation]
+        assert graded[0].rank < simplified[0].rank
 
     def test_pipeline_on_table1(self):
         out = run("pipeline", "--preset", "degtyarev-table1")

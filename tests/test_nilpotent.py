@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian.abelian import abelianization
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
@@ -20,7 +21,7 @@ from meridian.nilpotent import (
     lcs_quotients,
     magnus,
 )
-from conftest import random_word
+from conftest import random_presentation, random_word
 
 
 class TestWittNumbers:
@@ -119,8 +120,6 @@ class TestLcsQuotients:
 
     def test_degree_one_is_abelianization(self):
         rng = random.Random(43)
-        from conftest import random_presentation
-
         for _ in range(40):
             pres = random_presentation(rng, max_rank=3, max_relators=3)
             ab = abelianization(pres)
@@ -136,8 +135,7 @@ class TestLcsQuotients:
         assert (q.degree(3).rank, q.degree(3).torsion) == (0, (5,))
 
     def test_tietze_invariance(self, presets):
-        for name in ("genus2", "p1-2-5-10"):
-            pres = presets[name]
+        for pres in presets.values():
             simplified = tietze_simplify(pres).presentation
             a, b = lcs_quotients(pres), lcs_quotients(simplified)
             for d in (1, 2, 3):
@@ -147,3 +145,14 @@ class TestLcsQuotients:
     def test_class_cap(self, presets):
         with pytest.raises(ValueError):
             lcs_quotients(presets["genus2"], max_class=4)
+
+
+@settings(max_examples=200)
+@given(st.randoms())
+def test_quotients_of_simplified_presentation(rng):
+    # `meridian lcs` computes on the Tietze-simplified presentation; the
+    # graded quotients are invariants of the group, so nothing may change
+    pres = random_presentation(rng)
+    simplified = tietze_simplify(pres).presentation
+    for c in (1, 2, 3):
+        assert lcs_quotients(pres, c) == lcs_quotients(simplified, c)
