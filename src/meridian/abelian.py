@@ -1,16 +1,18 @@
 """Integer matrix Smith normal form and abelian invariants of presentations.
 
 Matrices are plain lists of lists of Python ints, so all arithmetic is
-arbitrary precision.  Two routines quotient Z^n by a lattice:
+arbitrary precision.  One Hermite echelon, ``_echelon``, brings rows to
+Hermite normal form without a transform, and serves two callers:
 
-- ``smith_normal_form`` carries the unimodular transforms.  Callers that need
-  coordinates use them: ``abelianization`` reads V to express generators in
-  the canonical coordinates of the abelianization, and the integer kernel in
-  ``nilpotent`` reads U.
-- ``quotient_invariants`` returns only rank and torsion.  It builds no
-  transform and first brings the rows to Hermite normal form, so it handles
-  the tall relation matrices of the lower-central-series quotients and any
-  caller that needs invariants alone.
+- ``quotient_invariants`` returns only rank and torsion of Z^n modulo the
+  span of the rows; it handles the tall relation matrices of the
+  lower-central-series quotients and any caller that needs invariants alone.
+- ``integer_row_kernel`` reads a basis of { x : x M = 0 } off the echelon of
+  [M | I].
+
+``smith_normal_form`` carries the column transform V alone: ``abelianization``
+reads it to express generators in the canonical coordinates of the
+abelianization.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 class SmithForm:
-    """U * M * V = diag(d1, ..., dr) with d1 | d2 | ... and U, V unimodular."""
+    """diag(d1, ..., dr) = U * M * V with d1 | d2 | ... and U, V unimodular.
 
-    __slots__ = ("diagonal", "u", "v")
+    Only V is kept; no caller needs the row transform U.
+    """
 
-    def __init__(self, diagonal: list[int], u: IntMatrix, v: IntMatrix):
+    __slots__ = ("diagonal", "v")
+
+    def __init__(self, diagonal: list[int], v: IntMatrix):
         self.diagonal = diagonal
-        self.u = u
         self.v = v
 
 
@@ -44,12 +48,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]
-    u = identity_matrix(rows)
     v = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -60,17 +59,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     def add_row(src, dst, c):
         # row_dst += c * row_src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
         for row in a:
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while True:
@@ -82,7 +76,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         while True:
             dirty = False
@@ -91,7 +85,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     q = a[i][t] // a[t][t]
                     add_row(t, i, -q)
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
@@ -115,11 +109,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         if fixed:
             continue
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
     diag = [a[i][i] for i in range(min(rows, cols)) if a[i][i]]
-    return SmithForm(diag, u, v)
+    return SmithForm(diag, v)
 
 
 class AbelianGroup(namedtuple("AbelianGroup", "rank torsion gen_images",
@@ -205,19 +199,17 @@ def _reduce_above(basis: dict[int, list[int]], low: int) -> None:
         basis[p] = row
 
 
-def quotient_invariants(rows: Iterable[Sequence[int]], dim: int) -> AbelianGroup:
-    """Rank and torsion of Z^dim modulo the span of the rows, no transforms.
+def _echelon(rows: Iterable[Sequence[int]], dim: int) -> dict[int, list[int]]:
+    """Hermite normal form of the span of the rows: pivot column -> row.
 
     The rows enter one at a time into an echelon basis with positive pivots.
     A row meeting a pivot it does not divide replaces that pivot row by an
     extended-gcd combination of the two and goes on with the other.  After
     every change of the basis the entries above each pivot are reduced into
-    [0, pivot), which keeps the basis in Hermite normal form; without it the
-    entries grow to thousands of bits.  A pivot of 1 is then alone in its
-    column, so its row and column split off a trivial summand, and only the
-    rows with larger pivots go to ``smith_normal_form``.
+    [0, pivot); without it the entries grow to thousands of bits.  Every step
+    is unimodular, so the basis spans the same lattice as the rows.
     """
-    basis: dict[int, list[int]] = {}    # pivot column -> row
+    basis: dict[int, list[int]] = {}
     for row in rows:
         row = list(row)
         low = dim    # leftmost pivot column this row changed
@@ -243,11 +235,37 @@ def quotient_invariants(rows: Iterable[Sequence[int]], dim: int) -> AbelianGroup
                 row[col:] = [y - q * x for x, y in zip(piv[col:], row[col:])]
         if low < dim:
             _reduce_above(basis, low)
+    return basis
+
+
+def quotient_invariants(rows: Iterable[Sequence[int]], dim: int) -> AbelianGroup:
+    """Rank and torsion of Z^dim modulo the span of the rows, no transforms.
+
+    In the Hermite basis a pivot of 1 is alone in its column, so its row and
+    column split off a trivial summand, and only the rows with larger pivots
+    go to ``smith_normal_form``.
+    """
+    basis = _echelon(rows, dim)
     rest = [c for c in range(dim) if c not in basis or basis[c][c] > 1]
     matrix = [[row[c] for c in rest] for p, row in basis.items()
               if row[p] > 1]
     diagonal = smith_normal_form(matrix).diagonal if matrix else []
     return AbelianGroup(dim - len(basis), tuple(d for d in diagonal if d > 1))
+
+
+def integer_row_kernel(matrix: IntMatrix) -> IntMatrix:
+    """Basis of { x : x * matrix = 0 } over Z, in Hermite normal form.
+
+    The rows (m_i, e_i) of [M | I] span { (x M, x) }.  In its Hermite basis
+    the rows whose pivot lies past M's columns are zero on M, and their
+    identity parts form a basis of the kernel (Cohen, GTM 138, Sec. 2.4).
+    """
+    if not matrix:
+        return []
+    cols, n = len(matrix[0]), len(matrix)
+    basis = _echelon((row + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(matrix)), cols + n)
+    return [basis[p][cols:] for p in sorted(basis) if p >= cols]
 
 
 def exponent_matrix(pres: Presentation) -> IntMatrix:

@@ -19,6 +19,7 @@ from .abelian import AbelianGroup, abelianization, quotient_invariants
 from .charvar import FiniteTorusVariety, characteristic_variety
 from .cosets import CosetOverflow, SearchCapExceeded, SubgroupSpec
 from .fpgroups import (
+    TIETZE_BUDGET,
     InputError,
     Presentation,
     parse_presentation,
@@ -49,6 +50,15 @@ def load_monodromy(name_or_path: str) -> braids.MonodromyFile:
     if name_or_path in MONODROMY_PRESETS:
         return braids.parse_monodromy(preset_text(name_or_path, ".braid"))
     return braids.parse_monodromy(Path(name_or_path).read_text(encoding="utf-8"))
+
+
+def projective_monodromy(mono: braids.MonodromyFile) -> braids.MonodromyData:
+    """The monodromy with its infinity meridian, which the projective group
+    needs; a file without an 'infinity:' line is refused."""
+    if mono.monodromy.infinity_meridian is None:
+        raise InputError("the monodromy has no 'infinity:' line, and the"
+                         " projective group needs the infinity meridian")
+    return mono.monodromy
 
 
 def load_presentation(args) -> Presentation:
@@ -173,9 +183,10 @@ def emit(args, text_lines, doc):
 
 def cmd_zvk(args) -> int:
     mono = load_monodromy(args.monodromy)
-    data = mono.monodromy
-    if not args.projective:
-        data = braids.MonodromyData(data.strands, data.braids, None)
+    if args.projective:
+        data = projective_monodromy(mono)
+    else:
+        data = braids.MonodromyData(mono.strands, mono.monodromy.braids, None)
     pres = braids.zvk_presentation(data, args.reduction)
     if args.simplify:
         pres = _simplify(pres, "zvk")
@@ -425,6 +436,7 @@ def cmd_verify_curves(args) -> int:
 def cmd_pipeline(args) -> int:
     name = {"degtyarev": "degtyarev-newbraid"}.get(args.preset, args.preset)
     mono = load_monodromy(name)
+    projective = projective_monodromy(mono)
     lines = [f"monodromy: {name} ({len(mono.monodromy.braids)} braids on"
              f" {mono.strands} strands)"]
     doc: dict = {"command": "pipeline", "preset": name}
@@ -442,7 +454,7 @@ def cmd_pipeline(args) -> int:
     doc["abelianization"] = str(ab)
 
     cap = coset_cap(args)
-    proj = braids.zvk_presentation(mono.monodromy, "block")
+    proj = braids.zvk_presentation(projective, "block")
     table = cosets.todd_coxeter(_simplify(proj, "projective"), **cap)
     lines.append(f"projective quotient (infinity meridian added):"
                  f" order {table.index}")
@@ -532,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True,
                    help="'kernel Z/10 x->5 y->2' or 'gens w1 w2'")
     p.add_argument("--max-cosets", type=int)
-    p.add_argument("--tietze-budget", type=int, default=20000)
+    p.add_argument("--tietze-budget", type=int, default=TIETZE_BUDGET)
     p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("lcs", help="lower central series quotients")

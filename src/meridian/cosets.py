@@ -607,8 +607,9 @@ def schreier_rewrite(pres: Presentation, table: CosetTable):
     return Presentation(names, tuple(relators)), tuple(ambient)
 
 
-def reidemeister_schreier(pres: Presentation, table: CosetTable,
-                          tietze_budget: int = 20000) -> fpgroups.TietzeResult:
+def reidemeister_schreier(
+        pres: Presentation, table: CosetTable,
+        tietze_budget: int = fpgroups.TIETZE_BUDGET) -> fpgroups.TietzeResult:
     """Presentation of the subgroup a complete coset table enumerates.
 
     The rewrite of every conjugate rep(c) r rep(c)^-1 is taken as a relator;

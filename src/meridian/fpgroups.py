@@ -403,6 +403,9 @@ def print_presentation(pres: Presentation) -> str:
 
 TietzeResult = namedtuple("TietzeResult", "presentation completed steps")
 
+# Moves a Tietze simplification may make unless its caller says otherwise.
+TIETZE_BUDGET = 20000
+
 
 def _substitute(word: Word, gen: int, image: Word) -> Word:
     """Replace generator ``gen`` by ``image`` throughout ``word``."""
@@ -560,7 +563,8 @@ def _shorten(relators, keys, tables):
     return None
 
 
-def tietze_simplify(pres: Presentation, budget: int = 10000) -> TietzeResult:
+def tietze_simplify(pres: Presentation,
+                    budget: int = TIETZE_BUDGET) -> TietzeResult:
     """Simplify a presentation by Tietze moves, keeping the group unchanged.
 
     Moves: free/cyclic reduction, dropping trivial and duplicate relators,

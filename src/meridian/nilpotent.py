@@ -23,6 +23,11 @@ algebra over an explicit generating set of the normal closure:
 J_2 is spanned by the degree-2 parts; J_3 by the degree-3 parts of integer
 combinations whose degree-2 parts cancel.  The free-group, Z^2 and
 surface-group oracles in the test suite pin this construction down.
+
+The expansion is a homomorphism, so every closure generator is evaluated in
+the truncated ring from the images of the relators, each expanded once, and
+never spelled out as a word: a power r^c costs the bits of c, not |c|
+letters.  Both integer kernels come from ``abelian.integer_row_kernel``.
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ from functools import lru_cache
 
 from .abelian import (
     AbelianGroup,
-    abelianization,
     exponent_matrix,
+    integer_row_kernel,
     quotient_invariants,
-    smith_normal_form,
 )
-from .fpgroups import Presentation, Word, conjugate, invert, multiply, power
+from .fpgroups import Presentation, Word
 
 
 def free_lie_ranks(n: int, d: int) -> int:
@@ -139,6 +143,17 @@ class Trunc3:
                     _bump(d3, (i, j, k), -a * b * c)
         return Trunc3(self.n, _clean(d1), _clean(d2), _clean(d3))
 
+    def power(self, e: int) -> "Trunc3":
+        """self^e by repeated squaring: it costs the bits of e, not |e|."""
+        if e < 0:
+            return self.inverse().power(-e)
+        out, base = Trunc3.one(self.n), self
+        while e:
+            if e & 1:
+                out = out.mul(base)
+            base, e = base.mul(base), e >> 1
+        return out
+
 
 def _bump(d, key, c):
     if not c:
@@ -227,15 +242,6 @@ def _lie3_coords(d3: dict, n: int) -> list[int]:
 # --- relation lattices ------------------------------------------------------------
 
 
-def _integer_row_kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis of { x : x * matrix = 0 } over Z."""
-    if not matrix:
-        return []
-    snf = smith_normal_form(matrix)
-    r = len(snf.diagonal)
-    return [row[:] for row in snf.u[r:]]
-
-
 class GradedQuotient(namedtuple("GradedQuotient", "degrees")):
     """Abelian invariants of gamma_d / gamma_(d+1) for d = 1..max_class."""
 
@@ -255,27 +261,31 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
     if not 1 <= max_class <= 3:
         raise ValueError("supported classes are 1, 2 and 3")
     n = pres.rank
-    ab = abelianization(pres)
-    out = [AbelianGroup(ab.rank, ab.torsion)]
+    matrix = exponent_matrix(pres)
+    out = [quotient_invariants(matrix, n)]
     if max_class == 1 or n == 0:
         while len(out) < max_class:
             out.append(AbelianGroup(0, ()))
         return GradedQuotient(tuple(out))
 
     basis = HallBasis(n)
-    relators = list(pres.relators)
-    gens = [(i,) for i in range(1, n + 1)]
+    relators = [magnus(n, rel) for rel in pres.relators]
 
     # Closure generators with a possible degree-2 part: the twisted relators
-    # (r^g) r^-1 and the kernel products, evaluated exactly through the
-    # Magnus expansion.
-    closure_words: list[Word] = []
+    # (r^g) r^-1 and the kernel products, evaluated in the Magnus ring, where
+    # the image of a word is the product of the images of its letters.
+    closure: list[Trunc3] = []
     for rel in relators:
-        for j in range(n):
-            closure_words.append(multiply(conjugate(gens[j], rel), invert(rel)))
-    for kv in _integer_row_kernel(exponent_matrix(pres)):
-        parts = [power(relators[i], c) for i, c in enumerate(kv) if c]
-        closure_words.append(multiply(*parts))
+        rel_inv = rel.inverse()
+        for i in range(1, n + 1):
+            g, g_inv = Trunc3.generator(n, i), Trunc3.generator(n, -i)
+            closure.append(g.mul(rel).mul(g_inv).mul(rel_inv))
+    for kv in integer_row_kernel(matrix):
+        prod = Trunc3.one(n)
+        for rel, c in zip(relators, kv):
+            if c:
+                prod = prod.mul(rel.power(c))
+        closure.append(prod)
 
     dim2 = free_lie_ranks(n, 2)
     dim3 = free_lie_ranks(n, 3)
@@ -283,10 +293,9 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
     rows3_direct: list[list[int]] = []   # degree-3 parts of rows with D2 = 0
     pending: list[tuple[list[int], dict]] = []   # (D2 coords, raw D3 tensor)
     w1_tensors: list[dict] = []
-    for w in closure_words:
-        elt = magnus(n, w)
+    for elt in closure:
         if _clean(elt.d1):
-            raise ArithmeticError("closure word has nonzero abelianization")
+            raise ArithmeticError("closure generator has nonzero abelianization")
         d2 = _clean(elt.d2)
         coords2 = _lie2_coords(d2, basis)
         d3 = _clean(elt.d3)
@@ -319,7 +328,7 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
                 if bracket:
                     yield _lie3_coords(bracket, n)
         for rel in relators:
-            rho = _clean(magnus(n, rel).d1)
+            rho = _clean(rel.d1)
             if not rho:
                 continue
             for (i, j) in basis.degree2:
@@ -331,7 +340,7 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
                 if bracket:
                     yield _lie3_coords(bracket, n)
         if pending:
-            kernel = _integer_row_kernel([p[0] for p in pending])
+            kernel = integer_row_kernel([p[0] for p in pending])
             for kv in kernel:
                 acc: dict = {}
                 for c, (_, d3) in zip(kv, pending):

@@ -6,26 +6,14 @@ from meridian.abelian import (
     AbelianGroup,
     abelianization,
     characters_of_order_dividing,
+    integer_row_kernel,
     quotient_invariants,
     smith_normal_form,
     surjects_onto,
 )
 from meridian.fpgroups import parse_presentation
 
-from conftest import mat_mul
-
-
-def check_snf(matrix):
-    snf = smith_normal_form(matrix)
-    rows, cols = len(matrix), len(matrix[0])
-    product = mat_mul(snf.u, mat_mul(matrix, snf.v))
-    for i in range(rows):
-        for j in range(cols):
-            expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-            assert product[i][j] == expected
-    for a, b in zip(snf.diagonal, snf.diagonal[1:]):
-        assert a > 0 and b % a == 0
-    return snf
+from conftest import DENSE_11X7, check_snf
 
 
 class TestSmithNormalForm:
@@ -128,6 +116,14 @@ def planted_quotients(draw):
     return rows, dim, expected
 
 
+@settings(max_examples=200)
+@given(small_matrices())
+def test_smith_form_of_small_matrices(case):
+    rows, _ = case
+    if rows:
+        check_snf(rows)
+
+
 class TestQuotientInvariants:
     @settings(max_examples=400)
     @given(small_matrices())
@@ -151,15 +147,22 @@ class TestQuotientInvariants:
         assert quotient_invariants([[], []], 0) == AbelianGroup(0, ())
 
     def test_dense_11x7_is_trivial(self):
-        # The exponent matrix of a 7-generator, 11-relator presentation on
-        # which smith_normal_form's entries grow past 200 bits.
-        rows = [[6, -3, -5, 1, -6, 0, 0], [3, 6, 6, -6, 5, 1, -2],
-                [5, 6, -3, 3, -5, -1, -6], [-6, -6, 4, 2, -6, 0, 4],
-                [-3, 0, 5, -6, 2, -3, 6], [1, 1, 2, -3, -1, -3, 4],
-                [-3, 6, 1, -2, -6, 0, 2], [4, -5, -4, 4, 5, -2, -5],
-                [5, -1, 5, 5, 2, 0, 2], [4, -3, -2, -2, 3, 1, 2],
-                [0, 3, -6, 1, -3, 5, 6]]
-        assert quotient_invariants(rows, 7) == AbelianGroup(0, ())
+        assert quotient_invariants(DENSE_11X7, 7) == AbelianGroup(0, ())
+
+
+class TestIntegerRowKernel:
+    @settings(max_examples=300)
+    @given(small_matrices())
+    def test_saturated_basis_of_the_left_kernel(self, case):
+        rows, dim = case
+        kernel = integer_row_kernel(rows)
+        rank = dim - quotient_invariants(rows, dim).rank
+        for k in kernel:
+            assert not any(sum(c * row[j] for c, row in zip(k, rows))
+                           for j in range(dim))
+        assert len(kernel) == len(rows) - rank
+        # Z^rows / span(K) free of rank rank(M): K spans the whole kernel
+        assert quotient_invariants(kernel, len(rows)) == AbelianGroup(rank, ())
 
 
 class TestAbelianization:

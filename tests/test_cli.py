@@ -15,6 +15,8 @@ from meridian.cli import preset_text
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from meridian.fpgroups import parse_presentation, print_presentation, tietze_simplify
 
+from conftest import DENSE_11X7
+
 MODULE = [sys.executable, "-m", "meridian.cli"]
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 INPUTS = GOLDEN.parent / "inputs"
@@ -307,7 +309,10 @@ class TestInputBoundary:
         "bad.braid": b"strands 3;\npath a: s1;\ncompose m: a * b;\n",
         "latin1.grp": b"gens x; rel x^2; # \xe9\xff\n",
         "zero.braid": b"strands 0;\n",
+        "affine.braid": b"strands 3;\nbraid a: s1^3;\nbraid b: s2^2;\n",
     }
+    NO_INFINITY = ("the monodromy has no 'infinity:' line, and the projective"
+                   " group needs the infinity meridian")
 
     @pytest.mark.parametrize("args,message", [
         (("obstruct", "--preset", "c-2-3"),
@@ -325,6 +330,8 @@ class TestInputBoundary:
         (("abelianize", "latin1.grp"), "'utf-8' codec can't decode byte 0xe9"
          " in position 19: invalid continuation byte"),
         (("zvk", "zero.braid"), "1:1: a braid needs at least one strand"),
+        (("zvk", "affine.braid", "--projective"), NO_INFINITY),
+        (("pipeline", "--preset", "affine.braid"), NO_INFINITY),
     ])
     def test_bad_input_is_exit_two(self, tmp_path, args, message):
         for name, data in self.BAD_FILES.items():
@@ -334,6 +341,14 @@ class TestInputBoundary:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"error: {message}\n"
+
+    def test_affine_zvk_needs_no_infinity_line(self, tmp_path):
+        path = tmp_path / "affine.braid"
+        path.write_bytes(self.BAD_FILES["affine.braid"])
+        out = run("zvk", str(path))
+        assert out.returncode == 0
+        assert out.stdout == ("gens g1 g2 g3;\nrel g2*g1*g2*g1^-1*g2^-1*g1^-1;\n"
+                              "rel g3*g2*g3^-1*g2^-1;\n")
 
     @pytest.mark.parametrize("fault", [ValueError, KeyError, ZeroDivisionError])
     def test_internal_faults_are_not_input_errors(self, monkeypatch, capsys,
@@ -508,8 +523,8 @@ class TestDeterminismAndJson:
     @pytest.mark.parametrize("argv,code,count", [
         (["charvar", "--preset", "degtyarev-projective"], 0, 1),
         (["charvar", "--preset", "degtyarev-affine"], 0, 1),
-        (["obstruct", "--preset", "degtyarev-affine"], 1, 4),
-        (["pipeline", "--preset", "degtyarev"], 0, 15),
+        (["obstruct", "--preset", "degtyarev-affine"], 1, 2),
+        (["pipeline", "--preset", "degtyarev"], 0, 13),
     ])
     def test_each_presentation_abelianized_once(self, monkeypatch, capsys,
                                                 argv, code, count):
@@ -583,3 +598,33 @@ class TestDeterminismAndJson:
         out = run("pipeline", "--preset", "degtyarev-table1")
         assert out.returncode == 0
         assert "projective quotient (infinity meridian added): order 320" in out.stdout
+
+
+class TestLcsOfDenseRelators:
+    """Trivial groups whose exponent matrices have large integer kernel
+    vectors: the class-3 quotients arrive, and all three are trivial."""
+
+    FIVE_GENERATORS = """gens g1 g2 g3 g4 g5;
+rel g1^4*g4*g3^3*g5^-2;
+rel g1*g4^3*g5^4*g4^3*g2^-3;
+rel g5^-3*g2^-4*g5^-3*g1^3*g4^3;
+rel g4^3*g3^2*g1^2*g5^2*g2^-2;
+rel g4^-3*g5^-4*g2^3*g3^-3*g2^-3*g3^-2;
+rel g3^4*g2^-2*g4^3*g1^-4*g4^-4;
+rel g4^-2*g2^2*g3^2*g1^3*g2^-1*g1^3;
+rel g2^-1*g3^4*g4^2*g1*g5^-3;
+"""
+    # relator i is a1^m[i][0] * ... * a7^m[i][6]
+    DENSE_11X7_TEXT = "gens a1 a2 a3 a4 a5 a6 a7;\n" + "".join(
+        "rel " + "*".join(f"a{j}^{e}" for j, e in enumerate(row, 1) if e)
+        + ";\n" for row in DENSE_11X7)
+
+    @pytest.mark.parametrize("text", [FIVE_GENERATORS, DENSE_11X7_TEXT],
+                             ids=["five-generators", "dense-11x7"])
+    def test_class_three_is_trivial(self, tmp_path, text):
+        path = tmp_path / "dense.grp"
+        path.write_text(text)
+        out = run("lcs", "--class", "3", str(path))
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == ("gamma_1/gamma_2 = 1\ngamma_2/gamma_3 = 1\n"
+                              "gamma_3/gamma_4 = 1\n")

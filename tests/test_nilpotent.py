@@ -3,12 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meridian.abelian import abelianization
+from meridian.abelian import AbelianGroup, abelianization
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from meridian.fpgroups import (
+    Presentation,
     commutator,
     multiply,
     parse_presentation,
+    power,
     tietze_simplify,
 )
 from meridian.nilpotent import (
@@ -42,6 +44,10 @@ class TestWittNumbers:
             assert len(basis.degree3) == free_lie_ranks(n, 3)
 
 
+def parts(m):
+    return _clean(m.d1), _clean(m.d2), _clean(m.d3)
+
+
 class TestMagnus:
     def test_inverse(self):
         rng = random.Random(40)
@@ -58,9 +64,20 @@ class TestMagnus:
             u, v = random_word(rng, 3), random_word(rng, 3)
             lhs = magnus(3, multiply(u, v))
             rhs = magnus(3, u).mul(magnus(3, v))
-            assert _clean(lhs.d1) == _clean(rhs.d1)
-            assert _clean(lhs.d2) == _clean(rhs.d2)
-            assert _clean(lhs.d3) == _clean(rhs.d3)
+            assert parts(lhs) == parts(rhs)
+
+    @settings(max_examples=100)
+    @given(st.randoms(), st.integers(-7, 7))
+    def test_power_of_a_word(self, rng, c):
+        w = random_word(rng, 3)
+        assert parts(magnus(3, power(w, c))) == parts(magnus(3, w).power(c))
+
+    @settings(max_examples=100)
+    @given(st.randoms(), st.integers(-2 ** 40, 2 ** 40),
+           st.integers(-2 ** 40, 2 ** 40))
+    def test_power_adds_exponents(self, rng, a, b):
+        x = magnus(3, random_word(rng, 3))
+        assert parts(x.power(a + b)) == parts(x.power(a).mul(x.power(b)))
 
     def test_gamma_detection(self):
         # [x, y] has vanishing degree 1, [[x, y], x] also vanishing degree 2
@@ -156,3 +173,36 @@ def test_quotients_of_simplified_presentation(rng):
     simplified = tietze_simplify(pres).presentation
     for c in (1, 2, 3):
         assert lcs_quotients(pres, c) == lcs_quotients(simplified, c)
+
+
+@st.composite
+def syllable_presentations(draw):
+    """Ranks 2-4 with rank to rank+4 relators of 1-4 syllables g^e, |e| <= 7.
+
+    Their exponent matrices are small and dense, the shape on which kernel
+    products spelled out as words from Smith-form kernel vectors could
+    exhaust memory.
+    """
+    rank = draw(st.integers(2, 4))
+    exponents = st.sampled_from([e for e in range(-7, 8) if e])
+    relators = []
+    for _ in range(draw(st.integers(rank, rank + 4))):
+        word = []
+        for _ in range(draw(st.integers(1, 4))):
+            g, e = draw(st.integers(1, rank)), draw(exponents)
+            word += [g if e > 0 else -g] * abs(e)
+        relators.append(tuple(word))
+    return Presentation(tuple(f"g{i}" for i in range(1, rank + 1)),
+                        tuple(relators))
+
+
+@settings(max_examples=150)
+@given(syllable_presentations())
+def test_cyclic_abelianization_kills_higher_quotients(pres):
+    # gamma_2/gamma_3 is spanned by the images of [x, y], which are bilinear
+    # and alternating in the abelianization; gamma_3/gamma_4 is spanned by
+    # the brackets of gamma_2/gamma_3 with it.  Over a cyclic group both vanish.
+    q = lcs_quotients(pres)
+    d1 = q.degree(1)
+    if d1.rank + len(d1.torsion) <= 1:
+        assert q.degree(2) == q.degree(3) == AbelianGroup(0, ())

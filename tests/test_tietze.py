@@ -63,7 +63,7 @@ def test_kernel_matches_reference(presets):
 def test_pipeline_step_counts(monkeypatch):
     steps = []
 
-    def recording(pres, budget=10000):
+    def recording(pres, budget=fpgroups.TIETZE_BUDGET):
         result = tietze_simplify(pres, budget)
         steps.append(result.steps)
         return result
