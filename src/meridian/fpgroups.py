@@ -4,6 +4,10 @@ A word in a free group is a flat tuple of nonzero signed integers: ``k``
 stands for the k-th generator (1-based), ``-k`` for its inverse.  Every word
 handled by this module is freely reduced; the empty tuple is the identity.
 Relators of a presentation are additionally cyclically reduced.
+
+Tietze simplification alone spells words as str for the length of a call
+(letter x of a rank-n presentation is chr(n + 1 + x)) and keeps every
+generator's input number until it returns a renumbered tuple result.
 """
 
 from __future__ import annotations
@@ -102,10 +106,14 @@ def _least_rotation(w: Word) -> Word:
     """Lexicographically least rotation of a nonempty word.
 
     Only rotations that start with the least letter can be the minimum, so
-    only those are sliced out of the doubled word.
+    only those are sliced out of the doubled word.  Works on tuples and on
+    the str words of tietze_simplify.
     """
     n = len(w)
     first = min(w)
+    if w.count(first) == 1:
+        i = w.index(first)
+        return w[i:] + w[:i]
     doubled = w + w
     return min(doubled[i:i + n] for i in range(n) if w[i] == first)
 
@@ -399,7 +407,9 @@ def print_presentation(pres: Presentation) -> str:
 
 
 # --- Tietze simplification --------------------------------------------------
-
+#
+# The helpers below take the str words of tietze_simplify (see its docstring)
+# and ``inv``, the call's _inverse_table: inv[ord(c)] is the inverse of c.
 
 TietzeResult = namedtuple("TietzeResult", "presentation completed steps")
 
@@ -407,44 +417,77 @@ TietzeResult = namedtuple("TietzeResult", "presentation completed steps")
 TIETZE_BUDGET = 20000
 
 
-def _substitute(word: Word, gen: int, image: Word) -> Word:
-    """Replace generator ``gen`` by ``image`` throughout ``word``."""
-    image_inv = invert(image)
-    out: list[Word] = []
-    for x in word:
-        if x == gen:
-            out.append(image)
-        elif x == -gen:
-            out.append(image_inv)
-        else:
-            out.append((x,))
-    return multiply(*out)
+def _inverse_table(rank: int) -> str:
+    """The ``inv`` of rank-``rank`` words: codes c and 2*rank + 2 - c are
+    inverse letters, and s[::-1].translate(inv) inverts s."""
+    return "\0" + "".join(map(chr, range(2 * rank + 1, 0, -1)))
 
 
-def _drop_generator(word: Word, gen: int) -> Word:
-    """Renumber letters after the removal of ``gen`` (which must not occur)."""
-    return tuple(x - 1 if x > gen else x + 1 if x < -gen else x for x in word)
+def _encode(word: Word, rank: int) -> str:
+    return "".join([chr(rank + 1 + x) for x in word])
 
 
-def _isolated_candidates(relators):
-    """(relator index, signed gen) pairs where the generator occurs once.
+def _invert(s: str, inv: str) -> str:
+    return s[::-1].translate(inv)
+
+
+def _join(a: str, b: str, inv: str) -> str:
+    """Product of reduced words: letters cancel only where they meet."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == inv[ord(b[k])]:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
+def _cyclic(s: str, inv: str) -> str:
+    """cyclic_reduce of a reduced str word."""
+    k = 0
+    while 2 * k + 1 < len(s) and s[k] == inv[ord(s[-1 - k])]:
+        k += 1
+    return s[k:len(s) - k]
+
+
+def _key(s: str, inv: str) -> str:
+    """_relator_key of a str word."""
+    if not s:
+        return s
+    return min(_least_rotation(s), _least_rotation(_invert(s, inv)))
+
+
+def _substitute(word: str, gen: str, image: str, inv: str) -> str:
+    """Replace generator ``gen`` (its positive letter) by ``image``
+    throughout ``word``, reducing only where the pieces meet."""
+    image_inv = _invert(image, inv)
+    out = ""
+    for i, part in enumerate(word.split(gen)):
+        if i:
+            out = _join(out, image, inv)
+        for j, piece in enumerate(part.split(inv[ord(gen)])):
+            out = _join(_join(out, image_inv, inv) if j else out, piece, inv)
+    return out
+
+
+def _isolated_candidates(relators, isolated, inv):
+    """(relator index, signed letter) pairs where the generator occurs once.
 
     Ordered by relator length, then relator index, then descending generator
     index: the shortest defining relator wins, and on a tie the later-named
     generator is the one eliminated (so <a, b | b a^-1> keeps a).
+    ``isolated`` memoises the letters of each relator.
     """
     out = []
     for ri, rel in enumerate(relators):
-        counts: dict[int, int] = {}
-        for x in rel:
-            counts[abs(x)] = counts.get(abs(x), 0) + 1
-        for g in (g for g, c in counts.items() if c == 1):
-            sign = next(x for x in rel if abs(x) == g)
-            out.append(((len(rel), ri, -g), ri, sign))
-    return [(ri, sign) for _, ri, sign in sorted(out)]
+        letters = isolated.get(rel)
+        if letters is None:
+            letters = isolated[rel] = [
+                (-ord(max(c, inv[ord(c)])), c) for c in set(rel)
+                if rel.count(c) + rel.count(inv[ord(c)]) == 1]
+        out.extend((len(rel), ri, order, c) for order, c in letters)
+    out.sort()
+    return [(ri, c) for _, ri, _, c in out]
 
 
-def _shortening_table(rule: Word):
+def _shortening_table(rule: str, inv: str):
     """Factorizations u * v^-1 of the rotations of ``rule`` and of its inverse.
 
     Returns ``(|u|, {u: (entry, v)})`` with |u| = |rule| // 2 + 1 > |v|.
@@ -453,16 +496,16 @@ def _shortening_table(rule: Word):
     """
     n = len(rule)
     half = n // 2 + 1
-    table: dict[Word, tuple[int, Word]] = {}
-    for b, base in enumerate((rule, invert(rule))):
+    table: dict[str, tuple[int, str]] = {}
+    for b, base in enumerate((rule, _invert(rule, inv))):
         doubled = base + base
         for i in range(n):
             rot = doubled[i:i + n]
-            table.setdefault(rot[:half], (b * n + i, invert(rot[half:])))
+            table.setdefault(rot[:half], (b * n + i, _invert(rot[half:], inv)))
     return half, table
 
 
-def _try_shorten(target: Word, shortening) -> Word | None:
+def _try_shorten(target: str, shortening, inv: str) -> str | None:
     """Shorten ``target`` by a rule given as its ``_shortening_table``.
 
     Takes the first table entry whose u occurs in the target, at its first
@@ -478,65 +521,85 @@ def _try_shorten(target: Word, shortening) -> Word | None:
     if best is None:
         return None
     _, i, v = best
-    return multiply(target[:i], v, target[i + half:])
+    return _join(_join(target[:i], v, inv), target[i + half:], inv)
 
 
-def _eliminate(relators, keys, candidates, limit, take_first, substituted):
+def _eliminate(relators, keys, candidates, limit, take_first, substituted,
+               inv):
     """Eliminate a generator by one of the isolated ``candidates``.
 
     Takes the first candidate whose relators, after substitution, reduction
     and deduplication, total at most ``limit`` (if ``take_first``), or the
-    first of least total.  Only relators that contain the generator are
-    rewritten and re-keyed, through the memo ``substituted``.  Deduplication
-    only drops relators, so a candidate is rejected as soon as its running
-    total passes the limit.  Returns ``(generator, relators, keys)``, the
-    generator renumbered away, or None.
+    first of least total.  Returns ``(generator, relators, keys)`` or None.
+
+    A candidate's total starts from the relators without its generator,
+    whose keys are distinct; only those with it are rewritten and re-keyed,
+    through the memo ``substituted``.  A rewritten relator that repeats the
+    key of one without the generator is dropped: whichever of the two the
+    ordered list keeps, the total is the same.  Deduplication only drops
+    relators, so a candidate is rejected as soon as its total passes the
+    limit.  Only the winner's relators are rebuilt in order.
     """
+    occurs: dict[str, list] = {}    # g -> [positions with g, their length]
+    for j, r in enumerate(relators):
+        for g in {max(c, inv[ord(c)]) for c in r}:
+            entry = occurs.setdefault(g, [set(), 0])
+            entry[0].add(j)
+            entry[1] += len(r)
+    at = {k: j for j, k in enumerate(keys)}
+    whole = sum(map(len, relators))
     best = None
     for ri, signed in candidates:
         rel = relators[ri]
-        g = abs(signed)
+        g = max(signed, inv[ord(signed)])
         k = rel.index(signed)
         rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
-        image = invert(rest) if signed > 0 else rest
-        words, word_keys, seen, total = [], [], set(), 0
-        for j, (r, rk) in enumerate(zip(relators, keys)):
-            if j == ri:
-                continue
-            if g in r or -g in r:
-                hit = substituted.get((r, g, image))
-                if hit is None:
-                    w = cyclic_reduce(_substitute(r, g, image))
-                    hit = substituted[r, g, image] = (w, _relator_key(w))
-                r, rk = hit
-                if not r:
-                    continue
-            if rk in seen:
-                continue
-            seen.add(rk)
-            total += len(r)
+        image = _invert(rest, inv) if signed == g else rest
+        touched, length = occurs[g]
+        total = whole - length
+        new = set()
+        for j in touched:
             if total > limit:
                 break
-            words.append(r)
-            word_keys.append(rk)
+            r = relators[j]
+            if j == ri:
+                continue
+            hit = substituted.get((r, g, image))
+            if hit is None:
+                w = _cyclic(_substitute(r, g, image, inv), inv)
+                hit = substituted[r, g, image] = (w, _key(w, inv))
+            w, wk = hit
+            # not counted if it repeats the key of a relator without g
+            if w and wk not in new and at.get(wk, ri) in touched:
+                new.add(wk)
+                total += len(w)
         else:
-            best = (g, words, word_keys)
-            if take_first:
-                break
-            limit = total - 1
+            if total <= limit:
+                best = (ri, g, image, touched)
+                if take_first:
+                    break
+                limit = total - 1
     if best is None:
         return None
-    g, words, word_keys = best
-    # renumbering is monotone on the remaining letters, so it maps keys to keys
-    return (g, [_drop_generator(r, g) for r in words],
-            [_drop_generator(rk, g) for rk in word_keys])
+    ri, g, image, touched = best
+    words, word_keys, seen = [], [], set()
+    for j, (r, rk) in enumerate(zip(relators, keys)):
+        if j in touched and j != ri:
+            r, rk = substituted[r, g, image]
+        if r and rk not in seen and j != ri:
+            seen.add(rk)
+            words.append(r)
+            word_keys.append(rk)
+    return g, words, word_keys
 
 
-def _shorten(relators, keys, tables):
-    """The first shortening of one relator by another, as ``(0, relators, keys)``.
+def _shorten(relators, keys, tables, failed, inv):
+    """The first shortening of one relator by another, as ``(None, relators,
+    keys)``, or None.
 
     Rules are tried shortest first, targets in order; ``tables`` memoises
-    their ``_shortening_table``.  The shortened relator is cyclically
+    their ``_shortening_table``, and ``failed`` holds the (rule, target)
+    pairs that did not shorten.  The shortened relator is cyclically
     reduced in place.  It is dropped if it is empty; of two relators with
     one key, the later is dropped.
     """
@@ -545,21 +608,22 @@ def _shorten(relators, keys, tables):
         if len(rule) < 2:
             continue
         if rule not in tables:
-            tables[rule] = _shortening_table(rule)
+            tables[rule] = _shortening_table(rule, inv)
         for j, target in enumerate(relators):
-            if j == i:
+            if j == i or (rule, target) in failed:
                 continue
-            w = _try_shorten(target, tables[rule])
+            w = _try_shorten(target, tables[rule], inv)
             if w is None:
+                failed.add((rule, target))
                 continue
-            w = cyclic_reduce(w)
+            w = _cyclic(w, inv)
             relators, keys = relators[:], keys[:]
-            relators[j], keys[j] = w, _relator_key(w)
+            relators[j], keys[j] = w, _key(w, inv)
             # the other keys are distinct, so w repeats at most one relator
             copies = [m for m, km in enumerate(keys) if km == keys[j]]
             if not w or len(copies) > 1:
                 del relators[copies[-1]], keys[copies[-1]]
-            return 0, relators, keys
+            return None, relators, keys
     return None
 
 
@@ -578,32 +642,58 @@ def tietze_simplify(pres: Presentation,
 
     The bookkeeping is incremental, and the moves, their order and the
     result are those of re-normalizing every relator after every move.
-    Each relator carries its key (the least rotation of it or of its
-    inverse); a move rewrites and re-keys only the relators it changes.
-    Substituted relators and shortening tables are memoised until the next
-    generator elimination renumbers every word; nothing outlives the call.
+    Words are str from entry to exit, letter x as chr(rank + 1 + x): the
+    encoding is increasing, so str words compare, sort and rotate as their
+    tuples do.  Generators keep their input numbers and are renumbered once,
+    on exit, which keeps the order of the letters that remain; so the
+    candidates, the keys (least rotation of a relator or of its inverse),
+    the shortenings and the deduplication are those of renumbering at every
+    elimination.  A move rewrites and re-keys only the relators it changes.
+    A word's substitutions, isolated letters, shortening table and the rules
+    that fail to shorten it are memoised; each elimination keeps the entries
+    of the relators that remain.  A rank past 557,055 has no encoding: the
+    input comes back unchanged, with ``completed=False``.
     """
-    gens = list(pres.generators)
-    relators = list(pres.relators)      # reduced and deduplicated already
-    keys = [_relator_key(r) for r in relators]
+    rank = pres.rank
+    if 2 * rank + 1 > 0x10FFFF:
+        return TietzeResult(pres, False, 0)
+    inv = _inverse_table(rank)
+    # reduced and deduplicated already
+    relators = [_encode(r, rank) for r in pres.relators]
+    keys = [_key(r, inv) for r in relators]
+    eliminated = set()
     substituted: dict = {}
     tables: dict = {}
+    failed = set()
+    isolated: dict = {}
     steps = 0
     while True:
         # A forced elimination still terminates: generators only disappear.
-        candidates = _isolated_candidates(relators)
-        total = sum(len(r) for r in relators)
-        move = (_eliminate(relators, keys, candidates, total,
-                           take_first=True, substituted=substituted)
-                or _shorten(relators, keys, tables)
-                or _eliminate(relators, keys, candidates, math.inf,
-                              take_first=False, substituted=substituted))
+        candidates = _isolated_candidates(relators, isolated, inv)
+        total = sum(map(len, relators))
+        move = (_eliminate(relators, keys, candidates, total, True,
+                           substituted, inv)
+                or _shorten(relators, keys, tables, failed, inv)
+                or _eliminate(relators, keys, candidates, math.inf, False,
+                              substituted, inv))
         if move is None or steps >= budget:
-            return TietzeResult(Presentation(tuple(gens), tuple(relators)),
-                                move is None, steps)
+            break
         g, relators, keys = move
         if g:
-            del gens[g - 1]
-            substituted.clear()
-            tables.clear()
+            eliminated.add(g)
+            live = set(relators)
+            substituted = {k: v for k, v in substituted.items()
+                           if k[0] in live}
+            tables = {r: t for r, t in tables.items() if r in live}
+            isolated = {r: i for r, i in isolated.items() if r in live}
+            failed = {pair for pair in failed if live.issuperset(pair)}
         steps += 1
+    kept = [x for x in range(1, rank + 1)
+            if chr(rank + 1 + x) not in eliminated]
+    number = {chr(rank + 1 + s * x): s * new
+              for new, x in enumerate(kept, 1) for s in (1, -1)}
+    return TietzeResult(
+        Presentation(tuple(pres.generators[x - 1] for x in kept),
+                     tuple(tuple(map(number.__getitem__, r))
+                           for r in relators)),
+        move is None, steps)

@@ -499,6 +499,11 @@ class TestDeterminismAndJson:
          "center-projective.out"),
         (("homs", "--preset", "degtyarev-affine", "--target", "degtyarev-320"),
          "homs-320.out"),
+        *((("subgroup", "--preset", "degtyarev-affine",
+            "--spec", f"kernel Z/{n} x->1 y->1"), f"kernel-{n}.out")
+          for n in range(8, 13)),
+        (("subgroup", "--preset", "p1-2-5-10", "--spec", "kernel Z/10 x->5 y->8"),
+         "kernel-p1-2-5-10.out"),
     ])
     def test_pipeline_matches_golden(self, args, golden):
         out = subprocess.run(MODULE + list(args), capture_output=True)

@@ -7,8 +7,10 @@ differs on purpose: the copy reports False whenever the budget is used up,
 the routine only when a move was still available.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_tietze
 from meridian import cli, fpgroups
@@ -18,7 +20,15 @@ from meridian.cosets import (
     schreier_rewrite,
     todd_coxeter,
 )
-from meridian.fpgroups import Presentation, reduce_word, tietze_simplify
+from meridian.fpgroups import (
+    Presentation,
+    TietzeResult,
+    cyclic_reduce,
+    invert,
+    multiply,
+    reduce_word,
+    tietze_simplify,
+)
 
 
 @st.composite
@@ -31,6 +41,11 @@ def presentations(draw):
     return Presentation(names, tuple(relators))
 
 
+# A rewritten relator repeats one without the eliminated generator; counting
+# both in a candidate's total changes the elimination chosen.
+@example(Presentation(("g1", "g2", "g3"), ((-1, -3, 2, -3, -1), (-2, -1, -2),
+                                           (2, -1, 2), (-2, 3, 2, -1),
+                                           (-3, -3))), 20)
 @settings(max_examples=400)
 @given(presentations(), st.integers(0, 20))
 def test_same_moves_as_reference(pres, budget):
@@ -42,9 +57,68 @@ def test_same_moves_as_reference(pres, budget):
     assert new.completed == (more.steps == old.steps)
 
 
+@st.composite
+def encoded_words(draw):
+    """A rank of 1-40 and two reduced words; the second starts by cancelling
+    part of the first."""
+    rank = draw(st.integers(1, 40))
+    letter = st.integers(-rank, rank).filter(bool)
+    u, v = (reduce_word(draw(st.lists(letter, max_size=16))) for _ in "uv")
+    return rank, u, multiply(invert(u[draw(st.integers(0, len(u))):]), v)
+
+
+@settings(max_examples=300)
+@given(encoded_words())
+def test_string_words_agree_with_tuple_words(drawn):
+    rank, u, v = drawn
+    inv = fpgroups._inverse_table(rank)
+    enc_u, enc_v = fpgroups._encode(u, rank), fpgroups._encode(v, rank)
+
+    def decode(s):
+        return tuple(ord(c) - rank - 1 for c in s)
+
+    assert decode(enc_u) == u
+    assert (u < v) == (enc_u < enc_v)
+    assert fpgroups._key(enc_u, inv) == \
+        fpgroups._encode(fpgroups._relator_key(u), rank)
+    assert decode(fpgroups._invert(enc_u, inv)) == invert(u)
+    assert decode(fpgroups._join(enc_u, enc_v, inv)) == multiply(u, v)
+    assert decode(fpgroups._cyclic(enc_u, inv)) == cyclic_reduce(u)
+
+
+def test_wide_rank_matches_reference():
+    # Letter x is coded rank + 1 + x: the inverses of generators 2,658-4,705
+    # fall in the surrogates U+D800-U+DFFF, generators past 5,534 above U+FFFF.
+    rank = 60000
+    rng = random.Random(14)
+    letters = [s * g for g in (2700, 3100, 4600, 9000, 59000, 60000)
+               for s in (1, -1)]
+    relators = [[rng.choice(letters) for _ in range(rng.randint(2, 9))]
+                for _ in range(6)]
+    pres = Presentation(tuple(f"g{i}" for i in range(1, rank + 1)),
+                        tuple(map(reduce_word, relators)))
+    codes = {rank + 1 + x for r in pres.relators for x in r}
+    assert any(0xD800 <= c <= 0xDFFF for c in codes) and max(codes) > 0xFFFF
+    assert tietze_simplify(pres).steps == 3
+    for budget in (3, 0, 1, 2):
+        new = tietze_simplify(pres, budget)
+        old = reference_tietze.tietze_simplify(pres, budget)
+        assert (new.presentation, new.steps) == (old.presentation, old.steps)
+
+
+def test_rank_past_the_encoding_is_returned_unchanged():
+    # 2 * rank + 1 letter codes no longer fit below U+10FFFF
+    pres = Presentation(tuple(map(str, range(557056))), ((1, 2, -1),))
+    assert tietze_simplify(pres) == TietzeResult(pres, False, 0)
+
+
+def kernel(presets, name, n, images):
+    pres = presets[name]
+    return pres, todd_coxeter(pres, SubgroupSpec.kernel_of((n,), images))
+
+
 def affine_kernel(presets, n):
-    pres = presets["degtyarev-affine"]
-    return pres, todd_coxeter(pres, SubgroupSpec.kernel_of((n,), [(1,), (1,)]))
+    return kernel(presets, "degtyarev-affine", n, [(1,), (1,)])
 
 
 @pytest.mark.parametrize("n,steps", [(8, 66), (9, 49), (10, 47), (11, 89),
@@ -55,9 +129,33 @@ def test_kernel_step_counts(presets, n, steps):
 
 
 def test_kernel_matches_reference(presets):
-    raw, _ = schreier_rewrite(*affine_kernel(presets, 8))
-    assert tietze_simplify(raw, 20000) == \
-        reference_tietze.tietze_simplify(raw, 20000)
+    kernels = [("degtyarev-affine", n, [(1,), (1,)]) for n in range(2, 11)]
+    for name, n, images in kernels + [("p1-2-5-10", 10, [(5,), (8,)])]:
+        raw, _ = schreier_rewrite(*kernel(presets, name, n, images))
+        full = tietze_simplify(raw)
+        assert full == reference_tietze.tietze_simplify(raw, 20000)
+        for budget in (0, 1, full.steps // 2):
+            new = tietze_simplify(raw, budget)
+            old = reference_tietze.tietze_simplify(raw, budget)
+            assert (new.presentation, new.steps) == \
+                (old.presentation, old.steps), (name, n, budget)
+
+
+def test_substitutions_outlive_eliminations(presets, monkeypatch):
+    # Generators keep their numbers, so a substituted relator stays valid
+    # until the relator itself goes; recomputing them after every
+    # elimination took 6,668 substitutions here.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    substitute = fpgroups._substitute
+    monkeypatch.setattr(fpgroups, "_substitute", counted)
+    raw, _ = schreier_rewrite(*affine_kernel(presets, 12))
+    assert tietze_simplify(raw).steps == 66
+    assert len(calls) == 4848
 
 
 def test_pipeline_step_counts(monkeypatch):
