@@ -1,16 +1,23 @@
 """Coset enumeration and what it yields: orders, centers, subgroup presentations.
 
-The enumerator follows Felsch's strategy.  Each relator is compiled once into
-the distinct cyclic conjugates of it and of its inverse, as table columns
-indexed by first letter.  The subgroup generators and then all relator
-conjugates are scanned and filled at coset 0; after that, the first undefined
-entry of the first live coset is defined, one entry at a time.  Every edge
-that gets set (a definition, a deduction, or an edge moved while a
+The enumerator follows Felsch's strategy with preferred definitions, as in
+Havas and Ramsay's ACE (Havas, "Coset enumeration strategies", ISSAC 1991).
+Each relator is compiled once into the distinct cyclic conjugates of it and
+of its inverse, as table columns and their inverse columns, indexed by first
+letter.  The subgroup generators and then all relator conjugates are scanned
+and filled at coset 0; after that, cosets are defined one entry at a time.
+Every edge that gets set (a definition, a deduction, or an edge moved while a
 coincidence collapses) goes on a deduction stack, which is emptied after each
 definition: an edge is processed by scanning, at its source coset, the
-conjugates that start with its letter.  Defining in table order and using
-every deduction at once keeps the cosets defined close to the index.
-Coincidences merge through union-find, the smaller coset surviving.
+conjugates that start with its letter.  A scan left with a gap of one letter
+deduces that entry; a gap of two letters makes the first of them a preferred
+definition, since defining it lets the next scan deduce the second.  The next
+definition is the newest preferred entry still open while the table has fewer
+than F*(alpha+1) rows, where alpha is the first live incomplete row and
+F = 5*(columns+2)//4 is ACE's default fill factor; otherwise it is the first
+undefined entry of row alpha.  The bound keeps definitions in table order
+coming, which the argument that the enumeration finishes needs.  Coincidences
+merge through union-find, the smaller coset surviving.
 
 ``max_cosets`` caps the rows of the table, dead ones included; there is no
 lookahead, and reaching the cap raises CosetOverflow.  Tables keep both
@@ -125,14 +132,16 @@ def _columns(word: Word) -> list[int]:
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in word]
 
 
-def _relator_conjugates(relators, ncols: int) -> list[list[tuple[int, ...]]]:
+def _relator_conjugates(relators, ncols: int):
     """Distinct cyclic conjugates of each relator and its inverse, as columns.
 
     ``out[col]`` lists the conjugates whose first column is col, shortest
-    relators first.  Only lists are iterated, so the order does not depend on
-    hashing.
+    relators first, each as (the columns after the first, the inverse
+    columns, the last index): a deduction scan at an edge in column col
+    starts past it and reads the inverse columns backwards.  Only lists are
+    iterated, so the order does not depend on hashing.
     """
-    out: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
+    out: list[list[tuple]] = [[] for _ in range(ncols)]
     seen = set()
     for rel in sorted(relators, key=len):
         cols = _columns(rel)
@@ -141,17 +150,24 @@ def _relator_conjugates(relators, ncols: int) -> list[list[tuple[int, ...]]]:
                 conj = tuple(word[k:] + word[:k])
                 if conj not in seen:
                     seen.add(conj)
-                    out[conj[0]].append(conj)
+                    out[conj[0]].append((conj[1:], tuple(c ^ 1 for c in conj),
+                                         len(conj) - 1))
     return out
+
+
+# At most this many preferred definitions are kept; the oldest drop out first.
+PREFERRED_LIST_SIZE = 256
 
 
 def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
     """Complete coset table as (action, inverse); CosetOverflow at the cap."""
     ncols = 2 * n_gens
     starting_with = _relator_conjugates(relators, ncols)
+    fill_factor = 5 * (ncols + 2) // 4
     table = [[UNDEF] * ncols]
     parent = [0]
     deductions: list[tuple[int, int]] = []
+    preferred: deque[tuple[int, int]] = deque(maxlen=PREFERRED_LIST_SIZE)
 
     def rep(c):
         root = c
@@ -209,8 +225,8 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
         table[c][col] = d
         deductions.append((c, col))
 
-    def scan(c, word, fill):
-        """Trace word from c both ways; deduce at one gap, fill gaps if asked."""
+    def scan(c, word):
+        """Trace word from c both ways, defining cosets until it closes."""
         f, i = c, 0
         b, j = c, len(word) - 1
         while True:
@@ -238,33 +254,80 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
                 table[b][word[i] ^ 1] = f
                 deductions.append((f, word[i]))
                 return
-            if not fill:
-                return
             define(f, word[i])
 
     def process_deductions():
         # Only the source coset is scanned: a relator cycle that crosses the
         # edge backwards is a cycle of a conjugate of r^-1 crossing it forwards.
+        # Each conjugate is traced forwards from c, then backwards; a gap of
+        # one letter is a deduction, a gap of two a preferred definition.
         while deductions:
             c, col = deductions.pop()
             if parent[c] != c:
                 continue
-            for word in starting_with[col]:
-                scan(c, word, False)
-                if parent[c] != c:
-                    break
+            for tail, inverse, last in starting_with[col]:
+                # the first letter is the edge (c, col), which a coincidence
+                # may have undone
+                f, i = table[c][col], 1
+                if f == UNDEF:
+                    f, i = c, 0
+                else:
+                    for x in tail:
+                        nxt = table[f][x]
+                        if nxt == UNDEF:
+                            break
+                        f = nxt
+                        i += 1
+                    else:
+                        if f != c:
+                            coincidence(f, c)
+                            if parent[c] != c:
+                                break
+                        continue
+                b, j = c, last
+                while j >= i:
+                    nxt = table[b][inverse[j]]
+                    if nxt == UNDEF:
+                        break
+                    b = nxt
+                    j -= 1
+                else:
+                    coincidence(f, b)
+                    if parent[c] != c:
+                        break
+                    continue
+                if j == i:
+                    x = inverse[i] ^ 1
+                    table[f][x] = b
+                    table[b][inverse[i]] = f
+                    deductions.append((f, x))
+                elif j == i + 1:
+                    preferred.append((f, inverse[i] ^ 1))
+
+    def define_preferred():
+        """Define the newest preferred entry still open; False if none is."""
+        while preferred:
+            c, col = preferred.pop()
+            if parent[c] == c and table[c][col] == UNDEF:
+                define(c, col)
+                return True
+        return False
 
     for w in subgroup_words:
-        scan(0, _columns(w), True)
-    for words in starting_with:
-        for word in words:
-            scan(0, word, True)
+        scan(0, _columns(w))
+    for col, words in enumerate(starting_with):
+        for tail, _, _ in words:
+            scan(0, (col,) + tail)
     process_deductions()
     alpha = 0
     while alpha < len(table):
         row = table[alpha]
         if parent[alpha] == alpha and UNDEF in row:
-            define(alpha, row.index(UNDEF))
+            # A preferred definition may run ahead of row alpha only while
+            # the table has fewer than fill_factor rows per row up to alpha.
+            if not (preferred and len(table) < fill_factor * (alpha + 1)
+                    and define_preferred()):
+                define(alpha, row.index(UNDEF))
             process_deductions()
         else:
             alpha += 1

@@ -141,7 +141,7 @@ class TestExitCodes:
         assert out.returncode == 3
 
     def test_cap_counts_table_rows(self):
-        # the enumeration of the order-320 group needs 5,593 table rows
+        # the enumeration of the order-320 group needs 3,590 table rows
         out = run("order", "--preset", "degtyarev-projective",
                   "--max-cosets", "5600")
         assert out.returncode == 0

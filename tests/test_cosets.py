@@ -377,6 +377,41 @@ def test_every_deduction_is_scanned(text, index):
     assert _assert_same_as_hlt(parse_presentation(text), None).index == index
 
 
+# The Tietze-simplified presentations on which `meridian pipeline --preset
+# degtyarev` enumerates the projective and the meridian^5 quotients.
+PIPELINE = {
+    "pipeline-projective": """gens g1 g3;
+        rel g3*g1*g3^-1*g1*g3*g1*g3^-1*g1*g3;
+        rel g3^-1*g1*g3^-1*g1^-1*g3^2*g1*g3*g1*g3^-2*g1*g3^-1*g1^-1*g3*g1^-1;
+        rel g3*g1*g3*g1*g3*g1^-1*g3^-1*g1^-1*g3^-1*g1^-1;""",
+    "pipeline-meridian5": """gens g1 g3;
+        rel g3*g1*g3^-1*g1*g3*g1*g3^-1*g1*g3*g1*g3^-1*g1^-1*g3*g1^-1*g3^-1
+            *g1^-1*g3*g1^-1*g3^-1*g1^-1;
+        rel g3*g1*g3*g1*g3*g1^-1*g3^-1*g1^-1*g3^-1*g1^-1;
+        rel g1^5;""",
+}
+
+
+def _presentation(presets, name):
+    """A preset, a pipeline presentation, or presentation text."""
+    if name in presets:
+        return presets[name]
+    return parse_presentation(PIPELINE.get(name, name))
+
+
+@pytest.mark.parametrize("name, rows", [
+    # plain Felsch, defining in table order only, needs 5,593, 6,038 and 427
+    ("degtyarev-projective", 3590),
+    ("pipeline-meridian5", 3242),
+    ("pipeline-projective", 370),
+])
+def test_rows_with_preferred_definitions(presets, name, rows):
+    pres = _presentation(presets, name)
+    assert todd_coxeter(pres, max_cosets=rows).index == 320
+    with pytest.raises(CosetOverflow):
+        todd_coxeter(pres, max_cosets=rows - 1)
+
+
 @pytest.mark.parametrize("name, extra, spec, index", [
     ("degtyarev-projective", (), "", 320),
     ("degtyarev-projective", (), "x", 64),
@@ -389,10 +424,25 @@ def test_every_deduction_is_scanned(text, index):
     ("c-2-3", (), "x*y*x*y*x y", 4),
     ("c-2-3", (), "[x,y] [x,y^-1]", 6),
     ("c-2-3", (), "(x*y)^3 (y*x)^3 y^-1*(x*y)^3*y", 12),
+    ("pipeline-projective", (), "", 320),
+    ("pipeline-projective", (), "g1", 64),
+    ("pipeline-projective", (), "g3", 64),
+    ("pipeline-meridian5", (), "", 320),
+    ("pipeline-meridian5", (), "g1", 64),
+    ("pipeline-meridian5", (), "g3", 64),
+    # preferred entries go stale: their coset dies in a coincidence ...
+    ("gens x y; rel x^2; rel y^3; rel (x*y)^4;", (), "x*y^2*x^-1", 8),
+    # ... or their entry is filled by a deduction first, or both
+    ("gens x y; rel x^2; rel y^3; rel (x*y)^4; rel y*x^2*y^2;", (), "", 24),
+    ("gens x y; rel x^2; rel y^3; rel (x*y)^5;", (), "x*y^-1*x^-3*y^-1", 12),
+    # deducing at a gap of one letter without reading the backward scan's
+    # last letter misses a coincidence: index 16 here, or a broken table
+    ("gens x y; rel x^2; rel y^8; rel (x*y)^2;", (), "x^-1*y*x^-1*y*x^-1", 8),
+    ("gens x y; rel x^2; rel y^4; rel (x*y)^2;", (), "x^-1*y^-1*x^3*y", 4),
 ])
 def test_presets_same_standardized_table_as_hlt(presets, name, extra, spec,
                                                 index):
-    pres = presets[name].with_relators(extra)
+    pres = _presentation(presets, name).with_relators(extra)
     words = parse_words(spec, {g: i + 1 for i, g in enumerate(pres.generators)})
     table = _assert_same_as_hlt(pres, SubgroupSpec.from_words(words))
     assert table.index == index
