@@ -149,12 +149,6 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def evaluate(self, x):
-        y = 0
-        for c in reversed(self.coeffs):
-            y = y * x + c
-        return y
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self

@@ -106,8 +106,8 @@ def _least_rotation(w: Word) -> Word:
     """Lexicographically least rotation of a nonempty word.
 
     Only rotations that start with the least letter can be the minimum, so
-    only those are sliced out of the doubled word.  Works on tuples and on
-    the str words of tietze_simplify.
+    only those are sliced out of the doubled word.  Tietze simplification
+    keys its str words with ``_key`` instead.
     """
     n = len(w)
     first = min(w)
@@ -447,44 +447,64 @@ def _cyclic(s: str, inv: str) -> str:
     return s[k:len(s) - k]
 
 
+def _rotation(s: str, first: str) -> str:
+    """Least rotation of s, whose least letter is ``first``: only rotations
+    that start with it can be least, and str.find visits them in order."""
+    i = s.find(first)
+    j = s.find(first, i + 1)
+    if j < 0:
+        return s[i:] + s[:i]
+    n = len(s)
+    doubled = s + s
+    least = doubled[i:i + n]
+    while j >= 0:
+        rot = doubled[j:j + n]
+        if rot < least:
+            least = rot
+        j = s.find(first, j + 1)
+    return least
+
+
 def _key(s: str, inv: str) -> str:
-    """_relator_key of a str word."""
+    """_relator_key of a str word.
+
+    The least rotation of s starts with min(s) and that of s^-1 with the
+    inverse of max(s), so the one with the smaller start is the key, and
+    both are rotated only when their starts tie.
+    """
     if not s:
         return s
-    return min(_least_rotation(s), _least_rotation(_invert(s, inv)))
+    lo, hi = min(s), inv[ord(max(s))]
+    if lo < hi:
+        return _rotation(s, lo)
+    key = _rotation(_invert(s, inv), hi)
+    return key if hi < lo else min(_rotation(s, lo), key)
 
 
-def _substitute(word: str, gen: str, image: str, inv: str) -> str:
-    """Replace generator ``gen`` (its positive letter) by ``image``
-    throughout ``word``, reducing only where the pieces meet."""
-    image_inv = _invert(image, inv)
-    out = ""
-    for i, part in enumerate(word.split(gen)):
-        if i:
-            out = _join(out, image, inv)
-        for j, piece in enumerate(part.split(inv[ord(gen)])):
-            out = _join(_join(out, image_inv, inv) if j else out, piece, inv)
+def _entry_key(entry, inv: str) -> str:
+    """The key of a memo entry ``[word, key or None]``, computed once."""
+    key = entry[1]
+    if key is None:
+        key = entry[1] = _key(entry[0], inv)
+    return key
+
+
+def _substitute(word: str, gen: str, image: str, image_inv: str,
+                inv: str) -> str:
+    """Replace generator ``gen`` (its positive letter) by ``image`` and its
+    inverse by ``image_inv`` throughout ``word``, reducing only where the
+    pieces meet."""
+    out = before = ""
+    for part in word.split(gen):
+        for piece in part.split(inv[ord(gen)]):
+            for p in (before, piece):
+                if out and p and out[-1] == inv[ord(p[0])]:
+                    out = _join(out, p, inv)
+                else:
+                    out += p
+            before = image_inv
+        before = image
     return out
-
-
-def _isolated_candidates(relators, isolated, inv):
-    """(relator index, signed letter) pairs where the generator occurs once.
-
-    Ordered by relator length, then relator index, then descending generator
-    index: the shortest defining relator wins, and on a tie the later-named
-    generator is the one eliminated (so <a, b | b a^-1> keeps a).
-    ``isolated`` memoises the letters of each relator.
-    """
-    out = []
-    for ri, rel in enumerate(relators):
-        letters = isolated.get(rel)
-        if letters is None:
-            letters = isolated[rel] = [
-                (-ord(max(c, inv[ord(c)])), c) for c in set(rel)
-                if rel.count(c) + rel.count(inv[ord(c)]) == 1]
-        out.extend((len(rel), ri, order, c) for order, c in letters)
-    out.sort()
-    return [(ri, c) for _, ri, _, c in out]
 
 
 def _shortening_table(rule: str, inv: str):
@@ -524,107 +544,228 @@ def _try_shorten(target: str, shortening, inv: str) -> str | None:
     return _join(_join(target[:i], v, inv), target[i + half:], inv)
 
 
-def _eliminate(relators, keys, candidates, limit, take_first, substituted,
-               inv):
-    """Eliminate a generator by one of the isolated ``candidates``.
+class _Relators:
+    """The relators of one Tietze simplification, indexed for its moves.
 
-    Takes the first candidate whose relators, after substitution, reduction
-    and deduplication, total at most ``limit`` (if ``take_first``), or the
-    first of least total.  Returns ``(generator, relators, keys)`` or None.
+    ``keys`` maps the relators, in order, to their keys, and ``at`` maps the
+    keys back.  ``occurs`` maps a generator (its positive letter) to the
+    relators that contain it, in the order they came, and their total
+    length; ``lengths`` counts the relators of each length, and ``whole`` is
+    the total length.  A move hands ``replace`` the new relators, and only
+    those it removes or adds are indexed or forgotten.
 
-    A candidate's total starts from the relators without its generator,
-    whose keys are distinct; only those with it are rewritten and re-keyed,
-    through the memo ``substituted``.  A rewritten relator that repeats the
-    key of one without the generator is dropped: whichever of the two the
-    ordered list keeps, the total is the same.  Deduplication only drops
-    relators, so a candidate is rejected as soon as its total passes the
-    limit.  Only the winner's relators are rebuilt in order.
+    The memos, keyed by live relators only:
+    - ``substituted[rel][signed]``: the elimination of the letter ``signed``
+      by ``rel`` as (generator, image, inverse image, rewritten), where
+      ``rewritten`` maps each relator r with the generator that a candidate
+      total has needed to ``[r rewritten, its key or None]``, and rel to an
+      empty word.  The key waits until a word of the same length is there
+      for it to repeat.
+    - ``tables[rule]``: the ``_shortening_table`` of a rule;
+    - ``failed[rule]``: the relators that the rule does not shorten;
+    - ``isolated[rel]``: the letters that occur in rel only once.
     """
-    occurs: dict[str, list] = {}    # g -> [positions with g, their length]
-    for j, r in enumerate(relators):
-        for g in {max(c, inv[ord(c)]) for c in r}:
-            entry = occurs.setdefault(g, [set(), 0])
-            entry[0].add(j)
-            entry[1] += len(r)
-    at = {k: j for j, k in enumerate(keys)}
-    whole = sum(map(len, relators))
-    best = None
-    for ri, signed in candidates:
-        rel = relators[ri]
-        g = max(signed, inv[ord(signed)])
-        k = rel.index(signed)
-        rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
-        image = _invert(rest, inv) if signed == g else rest
-        touched, length = occurs[g]
-        total = whole - length
-        new = set()
-        for j in touched:
-            if total > limit:
-                break
-            r = relators[j]
-            if j == ri:
-                continue
-            hit = substituted.get((r, g, image))
-            if hit is None:
-                w = _cyclic(_substitute(r, g, image, inv), inv)
-                hit = substituted[r, g, image] = (w, _key(w, inv))
-            w, wk = hit
-            # not counted if it repeats the key of a relator without g
-            if w and wk not in new and at.get(wk, ri) in touched:
-                new.add(wk)
-                total += len(w)
+
+    def __init__(self, relators, inv: str):
+        self.inv = inv
+        # fold[ord(c)] is the positive letter of c
+        self.fold = "".join(map(max, inv, map(chr, range(len(inv)))))
+        self.keys: dict[str, str] = {}
+        self.at: dict[str, str] = {}
+        self.occurs: dict[str, list] = {}
+        self.lengths: dict[int, int] = {}
+        self.whole = 0
+        self.substituted: dict[str, dict] = {}
+        self.tables: dict[str, tuple] = {}
+        self.failed: dict[str, set] = {}
+        self.isolated: dict[str, list] = {}
+        # reduced and deduplicated already
+        self.replace({r: _key(r, inv) for r in relators})
+
+    def replace(self, new: dict[str, str]) -> None:
+        """Make ``new`` (relator -> key, in order) the relators."""
+        old = self.keys
+        dead = [r for r in old if r not in new]
+        for r in dead:
+            self._index(r, old[r], -1)
+        for r, k in new.items():
+            if r not in old:
+                self._index(r, k, 1)
+        self.keys = new
+        for memo in (self.substituted, self.tables, self.failed,
+                     self.isolated):
+            for r in dead:
+                memo.pop(r, None)
+        for targets in self.failed.values():
+            targets.difference_update(dead)
+        for by_letter in self.substituted.values():
+            for elimination in by_letter.values():
+                for r in dead:
+                    elimination[3].pop(r, None)
+
+    def _index(self, r: str, key: str, sign: int) -> None:
+        """Add relator r to the index (sign 1) or remove it (sign -1)."""
+        n = len(r)
+        self.whole += sign * n
+        count = self.lengths.get(n, 0) + sign
+        if count:
+            self.lengths[n] = count
         else:
-            if total <= limit:
-                best = (ri, g, image, touched)
-                if take_first:
+            del self.lengths[n]
+        if sign > 0:
+            self.at[key] = r
+        else:
+            del self.at[key]
+        for g in set(r.translate(self.fold)):
+            entry = self.occurs.setdefault(g, [{}, 0])
+            if sign > 0:
+                entry[0][r] = None
+            else:
+                del entry[0][r]
+                if not entry[0]:
+                    del self.occurs[g]
+            entry[1] += sign * n
+
+    def candidates(self):
+        """(relator, signed letter) pairs where the generator occurs once.
+
+        Ordered by relator length, then relator position, then descending
+        generator: the shortest defining relator wins, and on a tie the
+        later-named generator is the one eliminated (so <a, b | b a^-1>
+        keeps a).
+        """
+        fold = self.fold
+        out = []
+        for ri, rel in enumerate(self.keys):
+            letters = self.isolated.get(rel)
+            if letters is None:
+                folded = rel.translate(fold)
+                letters = self.isolated[rel] = [
+                    (-ord(fold[ord(c)]), c) for c in set(rel)
+                    if folded.count(fold[ord(c)]) == 1]
+            out.extend((len(rel), ri, order, c, rel) for order, c in letters)
+        out.sort()
+        return [(rel, c) for _, _, _, c, rel in out]
+
+    def _elimination(self, rel: str, signed: str):
+        """The memo ``substituted[rel][signed]``, made on first use."""
+        by_letter = self.substituted.setdefault(rel, {})
+        elimination = by_letter.get(signed)
+        if elimination is None:
+            inv = self.inv
+            g = max(signed, inv[ord(signed)])
+            k = rel.index(signed)
+            rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
+            image = _invert(rest, inv) if signed == g else rest
+            elimination = by_letter[signed] = (
+                g, image, _invert(image, inv), {rel: ("", "")})
+        return elimination
+
+    def eliminate(self, candidates, limit, take_first: bool):
+        """Eliminate a generator by one of the isolated ``candidates``.
+
+        Takes the first candidate whose relators, after substitution,
+        reduction and deduplication, total at most ``limit`` (if
+        ``take_first``), or the first of least total.  Returns
+        ``(generator, relators)`` for ``replace``, or None.
+
+        A candidate's total starts from the relators without its generator,
+        whose keys are distinct; only those with it are rewritten, through
+        the memo ``substituted``.  A rewritten relator that repeats the key
+        of one without the generator is dropped: whichever of the two the
+        ordered list keeps, the total is the same.  Keys have the length of
+        their word, so a rewritten relator is keyed only when a relator or
+        an already counted word has its length.  Deduplication only drops
+        relators, so a candidate is rejected as soon as its total passes the
+        limit.  Only the winner's relators are rebuilt in order.
+        """
+        inv, at, lengths = self.inv, self.at, self.lengths
+        best = None
+        for rel, signed in candidates:
+            g, image, image_inv, rewritten = self._elimination(rel, signed)
+            touched, length = self.occurs[g]
+            total = self.whole - length
+            new = set()         # keys of the words counted
+            unkeyed = {}        # length -> the word counted at it unkeyed
+            for r in touched:
+                if total > limit:
                     break
-                limit = total - 1
-    if best is None:
+                entry = rewritten.get(r)
+                if entry is None:
+                    entry = rewritten[r] = [_cyclic(_substitute(
+                        r, g, image, image_inv, inv), inv), None]
+                n = len(entry[0])
+                if not n:
+                    continue
+                if n not in lengths and n not in unkeyed:
+                    unkeyed[n] = entry
+                    total += n
+                    continue
+                key = entry[1] or _entry_key(entry, inv)
+                first = unkeyed.get(n)
+                if first:
+                    new.add(first[1] or _entry_key(first, inv))
+                    unkeyed[n] = None
+                # not counted if it repeats a counted word or a relator
+                # without g
+                other = at.get(key)
+                if key in new or other is not None and other not in touched:
+                    continue
+                new.add(key)
+                total += n
+            else:
+                if total <= limit:
+                    best = (g, touched, rewritten)
+                    if take_first:
+                        break
+                    limit = total - 1
+        if best is None:
+            return None
+        g, touched, rewritten = best
+        return g, self._normalized(rewritten[r] if r in touched else (r, k)
+                                   for r, k in self.keys.items())
+
+    def shorten(self):
+        """The first shortening of one relator by another, as ``(None,
+        relators)`` for ``replace``, or None.
+
+        Rules are tried shortest first, targets in order.  The shortened
+        relator is cyclically reduced in place.  It is dropped if it is
+        empty; of two relators with one key, the later is dropped.
+        """
+        inv = self.inv
+        for rule in sorted(self.keys, key=len):
+            if len(rule) < 2:
+                continue
+            table = self.tables.get(rule)
+            if table is None:
+                table = self.tables[rule] = _shortening_table(rule, inv)
+            failed = self.failed.setdefault(rule, set())
+            for target in self.keys:
+                if target == rule or target in failed:
+                    continue
+                w = _try_shorten(target, table, inv)
+                if w is None:
+                    failed.add(target)
+                    continue
+                w = _cyclic(w, inv)
+                return None, self._normalized(
+                    [w, None] if r == target else (r, k)
+                    for r, k in self.keys.items())
         return None
-    ri, g, image, touched = best
-    words, word_keys, seen = [], [], set()
-    for j, (r, rk) in enumerate(zip(relators, keys)):
-        if j in touched and j != ri:
-            r, rk = substituted[r, g, image]
-        if r and rk not in seen and j != ri:
-            seen.add(rk)
-            words.append(r)
-            word_keys.append(rk)
-    return g, words, word_keys
 
-
-def _shorten(relators, keys, tables, failed, inv):
-    """The first shortening of one relator by another, as ``(None, relators,
-    keys)``, or None.
-
-    Rules are tried shortest first, targets in order; ``tables`` memoises
-    their ``_shortening_table``, and ``failed`` holds the (rule, target)
-    pairs that did not shorten.  The shortened relator is cyclically
-    reduced in place.  It is dropped if it is empty; of two relators with
-    one key, the later is dropped.
-    """
-    for i in sorted(range(len(relators)), key=lambda i: len(relators[i])):
-        rule = relators[i]
-        if len(rule) < 2:
-            continue
-        if rule not in tables:
-            tables[rule] = _shortening_table(rule, inv)
-        for j, target in enumerate(relators):
-            if j == i or (rule, target) in failed:
-                continue
-            w = _try_shorten(target, tables[rule], inv)
-            if w is None:
-                failed.add((rule, target))
-                continue
-            w = _cyclic(w, inv)
-            relators, keys = relators[:], keys[:]
-            relators[j], keys[j] = w, _key(w, inv)
-            # the other keys are distinct, so w repeats at most one relator
-            copies = [m for m, km in enumerate(keys) if km == keys[j]]
-            if not w or len(copies) > 1:
-                del relators[copies[-1]], keys[copies[-1]]
-            return None, relators, keys
-    return None
+    def _normalized(self, entries) -> dict[str, str]:
+        """The words of ``entries`` (``[word, key or None]``), in order, with
+        their keys; empty words and repeated keys are dropped."""
+        out: dict[str, str] = {}
+        seen = set()
+        for entry in entries:
+            if entry[0]:
+                key = _entry_key(entry, self.inv)
+                if key not in seen:
+                    seen.add(key)
+                    out[entry[0]] = key
+        return out
 
 
 def tietze_simplify(pres: Presentation,
@@ -648,45 +789,35 @@ def tietze_simplify(pres: Presentation,
     on exit, which keeps the order of the letters that remain; so the
     candidates, the keys (least rotation of a relator or of its inverse),
     the shortenings and the deduplication are those of renumbering at every
-    elimination.  A move rewrites and re-keys only the relators it changes.
-    A word's substitutions, isolated letters, shortening table and the rules
-    that fail to shorten it are memoised; each elimination keeps the entries
-    of the relators that remain.  A rank past 557,055 has no encoding: the
-    input comes back unchanged, with ``completed=False``.
+    elimination.  The relators live in a ``_Relators``, which keeps their
+    keys and an index (the relators of each generator, key -> relator, the
+    lengths) from move to move; a move rewrites, re-keys and re-indexes only
+    the relators it changes.  Memoised, and forgotten with their relator:
+    each elimination candidate's image and the relators it has rewritten,
+    with their keys computed only when a word of the same length could
+    repeat one; each relator's isolated letters, its shortening table and
+    the relators it fails to shorten.  A rank past 557,055 has no encoding:
+    the input comes back unchanged, with ``completed=False``.
     """
     rank = pres.rank
     if 2 * rank + 1 > 0x10FFFF:
         return TietzeResult(pres, False, 0)
-    inv = _inverse_table(rank)
-    # reduced and deduplicated already
-    relators = [_encode(r, rank) for r in pres.relators]
-    keys = [_key(r, inv) for r in relators]
+    state = _Relators([_encode(r, rank) for r in pres.relators],
+                      _inverse_table(rank))
     eliminated = set()
-    substituted: dict = {}
-    tables: dict = {}
-    failed = set()
-    isolated: dict = {}
     steps = 0
     while True:
         # A forced elimination still terminates: generators only disappear.
-        candidates = _isolated_candidates(relators, isolated, inv)
-        total = sum(map(len, relators))
-        move = (_eliminate(relators, keys, candidates, total, True,
-                           substituted, inv)
-                or _shorten(relators, keys, tables, failed, inv)
-                or _eliminate(relators, keys, candidates, math.inf, False,
-                              substituted, inv))
+        candidates = state.candidates()
+        move = (state.eliminate(candidates, state.whole, True)
+                or state.shorten()
+                or state.eliminate(candidates, math.inf, False))
         if move is None or steps >= budget:
             break
-        g, relators, keys = move
+        g, relators = move
+        state.replace(relators)
         if g:
             eliminated.add(g)
-            live = set(relators)
-            substituted = {k: v for k, v in substituted.items()
-                           if k[0] in live}
-            tables = {r: t for r, t in tables.items() if r in live}
-            isolated = {r: i for r, i in isolated.items() if r in live}
-            failed = {pair for pair in failed if live.issuperset(pair)}
         steps += 1
     kept = [x for x in range(1, rank + 1)
             if chr(rank + 1 + x) not in eliminated]
@@ -695,5 +826,5 @@ def tietze_simplify(pres: Presentation,
     return TietzeResult(
         Presentation(tuple(pres.generators[x - 1] for x in kept),
                      tuple(tuple(map(number.__getitem__, r))
-                           for r in relators)),
+                           for r in state.keys)),
         move is None, steps)

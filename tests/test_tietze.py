@@ -8,6 +8,7 @@ the routine only when a move was still available.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,6 +47,11 @@ def presentations(draw):
 @example(Presentation(("g1", "g2", "g3"), ((-1, -3, 2, -3, -1), (-2, -1, -2),
                                            (2, -1, 2), (-2, 3, 2, -1),
                                            (-3, -3))), 20)
+# After g3 goes, eliminating g1 by g1 g2^2 rewrites two relators to g2^-7
+# and g2^7: one key, at a length no relator has, so only one counts.
+@example(Presentation(("g1", "g2", "g3"), ((1, 1, -2, 1, 3, 3),
+                                           (-3, -3, 1, 2, 2),
+                                           (3, 2, -1, 2, -1, 2), (-3,))), 2)
 @settings(max_examples=400)
 @given(presentations(), st.integers(0, 20))
 def test_same_moves_as_reference(pres, budget):
@@ -67,23 +73,63 @@ def encoded_words(draw):
     return rank, u, multiply(invert(u[draw(st.integers(0, len(u))):]), v)
 
 
+def decode(s, rank):
+    return tuple(ord(c) - rank - 1 for c in s)
+
+
+# the empty word; rank 1; least letter twice, in u and in u^-1; u and u^-1
+# with the same least letter
+@example((1, (), ()))
+@example((1, (1, 1, 1), (-1,)))
+@example((3, (-3, 1, -3, 2), (3, -1, 2, -1, 3)))
+@example((2, (1, 2, -1, -2), (2, 1, -2, -1)))
+@example((2, (1, -2, 1, -2, 1, 2), ()))
 @settings(max_examples=300)
 @given(encoded_words())
 def test_string_words_agree_with_tuple_words(drawn):
     rank, u, v = drawn
     inv = fpgroups._inverse_table(rank)
     enc_u, enc_v = fpgroups._encode(u, rank), fpgroups._encode(v, rank)
-
-    def decode(s):
-        return tuple(ord(c) - rank - 1 for c in s)
-
-    assert decode(enc_u) == u
+    assert decode(enc_u, rank) == u
     assert (u < v) == (enc_u < enc_v)
-    assert fpgroups._key(enc_u, inv) == \
-        fpgroups._encode(fpgroups._relator_key(u), rank)
-    assert decode(fpgroups._invert(enc_u, inv)) == invert(u)
-    assert decode(fpgroups._join(enc_u, enc_v, inv)) == multiply(u, v)
-    assert decode(fpgroups._cyclic(enc_u, inv)) == cyclic_reduce(u)
+    for w, enc in ((u, enc_u), (v, enc_v)):
+        assert fpgroups._key(enc, inv) == \
+            fpgroups._encode(fpgroups._relator_key(w), rank)
+    assert decode(fpgroups._invert(enc_u, inv), rank) == invert(u)
+    assert decode(fpgroups._join(enc_u, enc_v, inv), rank) == multiply(u, v)
+    assert decode(fpgroups._cyclic(enc_u, inv), rank) == cyclic_reduce(u)
+
+
+@st.composite
+def substitutions(draw):
+    """A rank of 1-4, a reduced word, a generator and a reduced image: few
+    letters, so that the pieces cancel where they meet, often in cascades."""
+    rank = draw(st.integers(1, 4))
+    letter = st.integers(-rank, rank).filter(bool)
+    word, image = (reduce_word(draw(st.lists(letter, max_size=14)))
+                   for _ in "wi")
+    return rank, word, draw(st.integers(1, rank)), image
+
+
+# every piece cancels: a b a b with b -> a^-1
+@example((2, (1, 2, 1, 2), 2, (-1,)))
+# a cascade through two images: a b^-1 c b a^-1 with b -> c a
+@example((3, (1, -2, 3, 2, -1), 2, (3, 1)))
+@settings(max_examples=400)
+@given(substitutions())
+def test_substitution_agrees_with_tuple_substitution(drawn):
+    rank, word, g, image = drawn
+    inv = fpgroups._inverse_table(rank)
+    letters = []
+    for x in word:
+        letters.extend(image if x == g else invert(image) if x == -g else (x,))
+    out = fpgroups._substitute(fpgroups._encode(word, rank),
+                               fpgroups._encode((g,), rank),
+                               fpgroups._encode(image, rank),
+                               fpgroups._encode(invert(image), rank), inv)
+    assert decode(out, rank) == reduce_word(letters)
+    assert decode(fpgroups._cyclic(out, inv), rank) == \
+        cyclic_reduce(reduce_word(letters))
 
 
 def test_wide_rank_matches_reference():
@@ -144,18 +190,57 @@ def test_kernel_matches_reference(presets):
 def test_substitutions_outlive_eliminations(presets, monkeypatch):
     # Generators keep their numbers, so a substituted relator stays valid
     # until the relator itself goes; recomputing them after every
-    # elimination took 6,668 substitutions here.
-    calls = []
+    # elimination took 6,668 substitutions here.  A rewritten relator is
+    # keyed only when a word of its length could repeat it: keying each one
+    # took 4,930 keys.
+    calls = {"_substitute": 0, "_key": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return substitute(*args)
+    def counting(name):
+        function = getattr(fpgroups, name)
 
-    substitute = fpgroups._substitute
-    monkeypatch.setattr(fpgroups, "_substitute", counted)
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(fpgroups, name, counted)
+
+    for name in calls:
+        counting(name)
     raw, _ = schreier_rewrite(*affine_kernel(presets, 12))
     assert tietze_simplify(raw).steps == 66
-    assert len(calls) == 4848
+    assert calls == {"_substitute": 4508, "_key": 3057}
+
+
+def test_index_and_memos_follow_the_relators(presets, monkeypatch):
+    # After every move the index describes the relators, and every memo
+    # holds live relators only, so none grows with the number of moves.
+    moves = []
+
+    class Checked(fpgroups._Relators):
+        def replace(self, new):
+            super().replace(new)
+            moves.append(new)
+            live = set(self.keys)
+            assert self.at == {k: r for r, k in self.keys.items()}
+            assert self.whole == sum(map(len, live))
+            assert self.lengths == Counter(map(len, live))
+            folded = {r: r.translate(self.fold) for r in live}
+            assert self.occurs.keys() == set("".join(folded.values()))
+            for g, (touched, length) in self.occurs.items():
+                assert set(touched) == {r for r in live if g in folded[r]}
+                assert length == sum(map(len, touched))
+            for memo in (self.substituted, self.tables, self.failed,
+                         self.isolated):
+                assert live.issuperset(memo)
+            assert all(live.issuperset(targets)
+                       for targets in self.failed.values())
+            assert all(live.issuperset(elimination[3])
+                       for by_letter in self.substituted.values()
+                       for elimination in by_letter.values())
+
+    monkeypatch.setattr(fpgroups, "_Relators", Checked)
+    raw, _ = schreier_rewrite(*affine_kernel(presets, 12))
+    assert tietze_simplify(raw).steps == 66
+    assert len(moves) == 67     # the relators as given, then one per move
 
 
 def test_pipeline_step_counts(monkeypatch):
