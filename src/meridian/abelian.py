@@ -5,14 +5,22 @@ arbitrary precision.  One Hermite echelon, ``_echelon``, brings rows to
 Hermite normal form without a transform, and serves two callers:
 
 - ``quotient_invariants`` returns only rank and torsion of Z^n modulo the
-  span of the rows; it handles the tall relation matrices of the
-  lower-central-series quotients and any caller that needs invariants alone.
+  span of the rows, with a Smith form of the residual block alone.  It
+  answers every question that needs invariant factors and nothing else:
+  ``abelian_invariants`` of a presentation (``subgroup``, the pipeline's
+  projective abelianization, the spherical targets of the finite orbifold
+  obstruction), the lower-central-series quotients, and the center
+  invariants of ``cosets.abelian_invariants_of_subset``.
 - ``integer_row_kernel`` reads a basis of { x : x M = 0 } off the echelon of
   [M | I].
 
-``smith_normal_form`` carries the column transform V alone: ``abelianization``
-reads it to express generators in the canonical coordinates of the
-abelianization.
+``smith_normal_form`` carries the column transform V, and exists for
+coordinates: ``abelianization`` reads V to express generators in the
+canonical coordinates of the abelianization.  Its callers are the ones that
+read ``gen_images``: the characters of ``charvar``, the P1(2,5,10) kernel
+specs of ``orbifold.obstruct_infinite_rank_one``, and the ``abelianize``
+command, whose traced run the benchmark's tracer test expects to nest
+``smith_normal_form`` under ``abelianization``.
 """
 
 from __future__ import annotations
@@ -277,6 +285,11 @@ def exponent_matrix(pres: Presentation) -> IntMatrix:
             row[abs(x) - 1] += 1 if x > 0 else -1
         rows.append(row)
     return rows
+
+
+def abelian_invariants(pres: Presentation) -> AbelianGroup:
+    """Rank and torsion of the abelianization, without coordinates."""
+    return quotient_invariants(exponent_matrix(pres), pres.rank)
 
 
 def abelianization(pres: Presentation) -> AbelianGroup:

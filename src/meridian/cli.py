@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import braids, cosets, curves, orbifold
-from .abelian import AbelianGroup, abelianization, quotient_invariants
+from .abelian import AbelianGroup, abelian_invariants, abelianization, quotient_invariants
 from .charvar import FiniteTorusVariety, characteristic_variety
 from .cosets import CosetOverflow, SearchCapExceeded, SubgroupSpec
 from .fpgroups import (
@@ -286,7 +286,7 @@ def cmd_subgroup(args) -> int:
                                           tietze_budget=args.tietze_budget)
     note_tietze_stop(result, f"stopped at --tietze-budget {args.tietze_budget}")
     sub = result.presentation
-    ab = abelianization(sub)
+    ab = abelian_invariants(sub)
     emit(args, [f"index {table.index}",
                 print_presentation(sub).rstrip("\n"),
                 f"abelianization {ab}"], {
@@ -454,7 +454,7 @@ def cmd_pipeline(args) -> int:
     doc["abelianization"] = str(ab)
 
     cap = coset_cap(args)
-    proj = braids.zvk_presentation(projective, "block")
+    proj = raw.with_relators([projective.infinity_meridian])
     table = cosets.todd_coxeter(_simplify(proj, "projective"), **cap)
     lines.append(f"projective quotient (infinity meridian added):"
                  f" order {table.index}")
@@ -469,7 +469,7 @@ def cmd_pipeline(args) -> int:
     lines.append(f"center: order {len(center)}, {invariants}")
     doc["center"] = str(invariants)
 
-    ab5 = abelianization(merid)
+    ab5 = abelian_invariants(merid)
     lines.append(f"projective abelianization: {ab5}")
     doc["projective_abelianization"] = str(ab5)
 

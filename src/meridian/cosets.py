@@ -33,8 +33,7 @@ from functools import cached_property
 from itertools import product
 
 from . import fpgroups
-from .abelian import AbelianGroup
-from .exactalg import prime_divisors
+from .abelian import AbelianGroup, quotient_invariants
 from .fpgroups import InputError, Presentation, Word, invert, multiply, reduce_word
 
 
@@ -465,13 +464,6 @@ class MultTable:
     def inverse(self, a: int) -> int:
         return self.inverses[a]
 
-    def element_order(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != self.identity:
-            acc = self.table[acc][a]
-            k += 1
-        return k
-
     def evaluate(self, w: Word, images) -> int:
         acc, inv = self.identity, self.inverses
         for x in w:
@@ -572,46 +564,35 @@ def regular_rep(table: CosetTable) -> MultTable:
 def abelian_invariants_of_subset(mt: MultTable, elements) -> AbelianGroup:
     """Invariant factors of a finite abelian subgroup given by its elements.
 
-    For each prime p, counting solutions of z^(p^k) = 1 recovers the
-    partition of p-exponents; aligning the partitions across primes gives the
-    invariant factor chain.
+    Each element the subgroup built so far does not reach becomes a
+    generator z, and the subgroup is closed under it by walking x, xz, xz^2,
+    ... from each known x until the walk is back among known elements; an
+    element gets the exponent vector of the walk that reached it.  Every
+    edge x -> xg of the Cayley graph gives the relation vec(x) + e_g -
+    vec(xg), and these span the relation lattice, since every closed walk is
+    a sum of them; ``abelian.quotient_invariants`` reads the invariants off.
     """
-    orders = [mt.element_order(z) for z in elements]
-    partitions: dict[int, list[int]] = {}
-    for p in sorted({p for o in orders for p in prime_divisors(o)}):
-        maxpow = max(_p_part(o, p) for o in orders)
-        at_least = []      # at_least[k-1] = #{i : lambda_i >= k}
-        prev = 0
-        pk = p
-        while pk <= maxpow:
-            cnt = sum(1 for o in orders if pk % o == 0)
-            e = 0
-            while cnt > 1:
-                cnt //= p
-                e += 1
-            at_least.append(e - prev)
-            prev = e
-            pk *= p
-        width = at_least[0] if at_least else 0
-        partitions[p] = [sum(1 for c in at_least if c >= i)
-                         for i in range(1, width + 1)]
-    nfactors = max((len(v) for v in partitions.values()), default=0)
-    descending = []
-    for i in range(nfactors):
-        d = 1
-        for p, part in partitions.items():
-            if i < len(part):
-                d *= p ** part[i]
-        descending.append(d)
-    return AbelianGroup(0, tuple(sorted(d for d in descending if d >= 2)))
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
+    vec: dict[int, tuple[int, ...]] = {mt.identity: ()}
+    gens: list[int] = []
+    for z in elements:
+        if z in vec:
+            continue
+        for x, v in list(vec.items()):
+            y, i = mt.table[x][z], 1
+            while y not in vec:
+                vec[y] = v + (0,) * (len(gens) - len(v)) + (i,)
+                y, i = mt.table[y][z], i + 1
+        gens.append(z)
+    n = len(gens)
+    rows = []
+    for x, v in vec.items():
+        for j, g in enumerate(gens):
+            row = list(v) + [0] * (n - len(v))
+            row[j] += 1
+            for k, c in enumerate(vec[mt.table[x][g]]):
+                row[k] -= c
+            rows.append(row)
+    return AbelianGroup(0, quotient_invariants(rows, n).torsion)
 
 
 def center_of(mt: MultTable) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abelianization, surjects_onto
+from .abelian import AbelianGroup, abelian_invariants, abelianization, surjects_onto
 from .charvar import FiniteTorusVariety, RankOneVariety
 from .cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from .fpgroups import InputError, Presentation, commutator, multiply, power
@@ -180,7 +180,7 @@ def classify(sig: OrbifoldSignature) -> Classification:
 
 
 def _spherical_abelianization(ms: tuple[int, ...]) -> AbelianGroup:
-    return abelianization(orbifold_presentation(OrbifoldSignature(0, 0, ms)))
+    return abelian_invariants(orbifold_presentation(OrbifoldSignature(0, 0, ms)))
 
 
 class CandidateReport:

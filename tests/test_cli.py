@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import meridian.abelian
+import meridian.braids
 import meridian.charvar
 import meridian.nilpotent
 from meridian import cli
@@ -529,7 +530,10 @@ class TestDeterminismAndJson:
         (["charvar", "--preset", "degtyarev-projective"], 0, 1),
         (["charvar", "--preset", "degtyarev-affine"], 0, 1),
         (["obstruct", "--preset", "degtyarev-affine"], 1, 2),
-        (["pipeline", "--preset", "degtyarev"], 0, 13),
+        (["pipeline", "--preset", "degtyarev"], 0, 2),
+        (["subgroup", "--preset", "p1-2-5-10",
+          "--spec", "kernel Z/10 x->5 y->8"], 0, 0),
+        (["obstruct", "--finite", "320", "--ab", "Z/5"], 1, 0),
     ])
     def test_each_presentation_abelianized_once(self, monkeypatch, capsys,
                                                 argv, code, count):
@@ -537,6 +541,12 @@ class TestDeterminismAndJson:
         assert cli.main(argv) == code
         assert capsys.readouterr().err == ""
         assert len(calls) == len(set(calls)) == count
+
+    def test_pipeline_builds_one_zvk_presentation(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, meridian.braids.zvk_presentation)
+        assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
+        assert "order 320" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_pipeline_notes_tietze_budget_stops(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "tietze_simplify",

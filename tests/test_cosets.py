@@ -1,9 +1,11 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_cosets
 from reference_epimorphisms import closure
-from meridian.abelian import abelianization
+from meridian.abelian import AbelianGroup, abelianization, quotient_invariants
 from meridian.cosets import (
     CosetOverflow,
     InvalidSubgroup,
@@ -11,6 +13,7 @@ from meridian.cosets import (
     SearchCapExceeded,
     SubgroupSpec,
     abelian_invariants_of_subset,
+    center_of,
     check_table,
     coset_representatives,
     cyclic_table,
@@ -121,6 +124,16 @@ class TestToddCoxeter:
             (10,), list(ab.gen_images)))
         assert table.index == 10
         assert check_table(pres, table)
+
+
+def product_table(orders):
+    """Z/o1 x Z/o2 x ... as a multiplication table; element i has the
+    mixed-radix digits of i as coordinates, so 0 is the identity."""
+    table = [[0]]
+    for d in orders:
+        table = [[a * d + (i + j) % d for a in row for j in range(d)]
+                 for row in table for i in range(d)]
+    return MultTable(len(table), table, 0, ())
 
 
 def _perm_order(p):
@@ -291,13 +304,26 @@ class TestMultTables:
         with pytest.raises(ValueError, match="no inverse; not a group table"):
             mt.validate()
 
-    def test_abelian_invariants_of_subset(self):
-        mt = cyclic_table(12)
-        inv = abelian_invariants_of_subset(mt, list(range(12)))
-        assert inv.torsion == (12,)
-        klein = dihedral_table(4)          # the Klein four group
-        inv = abelian_invariants_of_subset(klein, list(range(4)))
-        assert inv.torsion == (2, 2)
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.randoms())
+    @example([12], random.Random(0))
+    @example([2, 2], random.Random(0))     # the Klein four group
+    def test_abelian_invariants_of_subset(self, orders, rng):
+        mt = product_table(orders)
+        elements = list(range(mt.size))
+        rng.shuffle(elements)
+        k = len(orders)
+        diagonal = [[d if j == i else 0 for j in range(k)]
+                    for i, d in enumerate(orders)]
+        assert abelian_invariants_of_subset(mt, elements) == \
+            AbelianGroup(0, quotient_invariants(diagonal, k).torsion)
+
+    def test_dihedral_center_invariants(self):
+        # the center of D_2n is {1, r^(n/2)} for even n and trivial for odd n
+        for n in range(3, 31):
+            mt = dihedral_table(2 * n)
+            assert abelian_invariants_of_subset(mt, center_of(mt)) == \
+                AbelianGroup(0, (2,) if n % 2 == 0 else ())
 
     @pytest.mark.parametrize("name, seed, expected", [
         ("cyclic-1", (), True),
