@@ -15,6 +15,8 @@ equality test of choice for braids.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .fpgroups import (
     ParseError,
     Presentation,
@@ -136,73 +138,21 @@ def braid_permutation(b: BraidWord) -> tuple[int, ...]:
     return tuple(perm[1:])
 
 
-class PathTable:
-    """Named elementary braids shared by all monodromy paths."""
-
-    __slots__ = ("strands", "entries")
-
-    def __init__(self, strands: int,
-                 entries: tuple[tuple[str, BraidWord], ...]):
-        for _, b in entries:
-            if b.strands != strands:
-                raise BraidError("path table mixes strand counts")
-        self.strands = strands
-        self.entries = entries
-
-    def __eq__(self, other):
-        return (isinstance(other, PathTable) and self.strands == other.strands
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.strands, self.entries))
-
-    def braid(self, name: str) -> BraidWord:
-        for key, b in self.entries:
-            if key == name:
-                return b
-        raise KeyError(f"unknown path name {name!r}")
-
-
-def compose_path_monodromy(table: PathTable, path) -> BraidWord:
+def compose_path_monodromy(strands: int, paths: dict[str, BraidWord],
+                           path) -> BraidWord:
     """Braid of a composite path, multiplying entries in traversal order.
 
-    ``path`` is a sequence of (name, sign) pairs; sign -1 traverses the named
-    path backwards.  Multiplication left to right in traversal order is the
+    ``paths`` maps names to braids on ``strands`` strands; ``path`` is a
+    sequence of (name, sign) pairs, and sign -1 traverses the named path
+    backwards.  Multiplication left to right in traversal order is the
     convention that reproduces the reference monodromies; see the regression
     tests.
     """
-    out = BraidWord(table.strands, ())
+    out = BraidWord(strands, ())
     for name, sign in path:
-        b = table.braid(name)
+        b = paths[name]
         out = out * (b if sign > 0 else b.inverse())
     return out
-
-
-class MonodromyData:
-    """Braids indexed by the geometric generators of the base, plus options.
-
-    ``infinity_meridian`` (a word over g_1..g_n) is extra input data: when
-    present, it joins the relators to present the projective completion.
-    """
-
-    __slots__ = ("strands", "braids", "infinity_meridian")
-
-    def __init__(self, strands: int, braids: tuple[tuple[str, BraidWord], ...],
-                 infinity_meridian: Word | None = None):
-        for _, b in braids:
-            if b.strands != strands:
-                raise BraidError("monodromy mixes strand counts")
-        self.strands = strands
-        self.braids = braids
-        self.infinity_meridian = infinity_meridian
-
-    def __eq__(self, other):
-        return (isinstance(other, MonodromyData)
-                and (self.strands, self.braids, self.infinity_meridian)
-                == (other.strands, other.braids, other.infinity_meridian))
-
-    def __hash__(self):
-        return hash((self.strands, self.braids, self.infinity_meridian))
 
 
 def _strand_blocks(strands: int, letters: Word) -> list[tuple[int, int]]:
@@ -252,36 +202,38 @@ def _block_dropped_indices(n: int, conj: Word, tau_letters: Word) -> set[int]:
     return dropped
 
 
-def zvk_presentation(data: MonodromyData, reduction: str = "none") -> Presentation:
-    """Meridian presentation of the complement from its braid monodromy.
+def zvk_presentation(strands: int, braids, reduction: str = "none"
+                     ) -> Presentation:
+    """Meridian presentation of the affine complement from its monodromy.
 
-    With ``reduction="none"`` every pair (generator, braid) contributes the
-    relator (g_i ^ braid) * g_i^-1.  With ``reduction="block"`` each braid is
-    peeled into c * tau * c^-1 and the relation at one index per block of tau
-    is dropped whenever the redundancy witness of _block_dropped_indices
-    certifies it; the kept relators are the plain (g_i ^ braid) * g_i^-1, so
-    both reductions present the same group and "block" merely starts smaller.
+    ``braids`` is a sequence of (name, braid) pairs, every braid on
+    ``strands`` strands.  With ``reduction="none"`` every pair (generator,
+    braid) contributes the relator (g_i ^ braid) * g_i^-1.  With
+    ``reduction="block"`` each braid is peeled into c * tau * c^-1 and the
+    relation at one index per block of tau is dropped whenever the redundancy
+    witness of _block_dropped_indices certifies it; the kept relators are the
+    plain (g_i ^ braid) * g_i^-1, so both reductions present the same group
+    and "block" merely starts smaller.
     """
     if reduction not in ("none", "block"):
         raise ValueError("reduction must be 'none' or 'block'")
-    n = data.strands
-    names = tuple(f"g{i}" for i in range(1, n + 1))
+    if any(braid.strands != strands for _, braid in braids):
+        raise BraidError("monodromy mixes strand counts")
+    names = tuple(f"g{i}" for i in range(1, strands + 1))
     relators: list[Word] = []
-    for _, braid in data.braids:
+    for _, braid in braids:
         dropped: set[int] = set()
         if reduction == "block":
             # braid = c * tau * c^-1, peeling matched outer letters
             tau_letters = cyclic_reduce(braid.letters)
             conj = braid.letters[:(len(braid.letters) - len(tau_letters)) // 2]
-            dropped = _block_dropped_indices(n, conj, tau_letters)
-        for i in range(1, n + 1):
+            dropped = _block_dropped_indices(strands, conj, tau_letters)
+        for i in range(1, strands + 1):
             if i in dropped:
                 continue
             rel = multiply(artin_action(braid, (i,)), invert((i,)))
             if rel:
                 relators.append(rel)
-    if data.infinity_meridian is not None:
-        relators.append(reduce_word(data.infinity_meridian))
     return Presentation(names, tuple(relators))
 
 
@@ -300,17 +252,18 @@ def zvk_presentation(data: MonodromyData, reduction: str = "none") -> Presentati
 # each optionally inverted with '^-1'.
 
 
-class MonodromyFile:
-    __slots__ = ("strands", "table", "monodromy", "compositions")
+class MonodromyFile(namedtuple("MonodromyFile",
+                               "strands paths braids infinity compositions")):
+    """A parsed monodromy file.
 
-    def __init__(self, strands: int, table: PathTable,
-                 monodromy: MonodromyData,
-                 compositions: tuple[tuple[str, tuple[tuple[str, int], ...]],
-                                     ...] = ()):
-        self.strands = strands
-        self.table = table
-        self.monodromy = monodromy
-        self.compositions = compositions
+    ``paths`` maps each path name to its braid; ``braids`` holds the
+    (name, braid) pairs of the braid lines in file order, then those of the
+    compose lines; ``infinity`` is the infinity word, or None without an
+    'infinity:' line; ``compositions`` holds each compose line as
+    (name, ((path name, sign), ...)).
+    """
+
+    __slots__ = ()
 
 
 def _letters(prefix: str, count: int) -> dict[str, int]:
@@ -334,7 +287,7 @@ def _expr_column(raw: str) -> int:
 def parse_monodromy(text: str) -> MonodromyFile:
     """Parse the monodromy text format described above."""
     strands: int | None = None
-    paths: list[tuple[str, BraidWord]] = []
+    paths: dict[str, BraidWord] = {}
     braids: list[tuple[str, BraidWord]] = []
     compositions: list[tuple[str, tuple[tuple[str, int], ...]]] = []
     references: list[tuple[str, int, int]] = []     # path name, line, column
@@ -362,10 +315,15 @@ def parse_monodromy(text: str) -> MonodromyFile:
             if strands is None:
                 raise ParseError("braid word before 'strands' declaration",
                                  line_no, 1)
+            if kind == "path" and name in paths:
+                raise ParseError(f"path {name!r} declared twice", line_no, 1)
             letters = parse_word(expr, _letters("s", strands - 1), line_no,
                                  _expr_column(raw))
-            entry = (name, BraidWord(strands, letters))
-            (paths if kind == "path" else braids).append(entry)
+            braid = BraidWord(strands, letters)
+            if kind == "path":
+                paths[name] = braid
+            else:
+                braids.append((name, braid))
         elif line.startswith("compose "):
             name, expr = _definition(line, "compose", line_no)
             steps = []
@@ -381,6 +339,8 @@ def parse_monodromy(text: str) -> MonodromyFile:
             _, expr = _definition(line, "infinity", line_no)
             if strands is None:
                 raise ParseError("'infinity' before 'strands'", line_no, 1)
+            if infinity is not None:
+                raise ParseError("'infinity' declared twice", line_no, 1)
             infinity = parse_word(expr, _letters("g", strands), line_no,
                                   _expr_column(raw))
         else:
@@ -388,12 +348,10 @@ def parse_monodromy(text: str) -> MonodromyFile:
 
     if strands is None:
         raise ParseError("missing 'strands' declaration", 1, 1)
-    named = {name for name, _ in paths}
     for name, line_no, col in references:
-        if name not in named:
+        if name not in paths:
             raise ParseError(f"unknown path name {name!r}", line_no, col)
-    table = PathTable(strands, tuple(paths))
     for name, steps in compositions:
-        braids.append((name, compose_path_monodromy(table, steps)))
-    data = MonodromyData(strands, tuple(braids), infinity)
-    return MonodromyFile(strands, table, data, tuple(compositions))
+        braids.append((name, compose_path_monodromy(strands, paths, steps)))
+    return MonodromyFile(strands, paths, tuple(braids), infinity,
+                         tuple(compositions))

@@ -22,6 +22,7 @@ from .fpgroups import (
     TIETZE_BUDGET,
     InputError,
     Presentation,
+    Word,
     parse_presentation,
     parse_words,
     print_presentation,
@@ -52,13 +53,14 @@ def load_monodromy(name_or_path: str) -> braids.MonodromyFile:
     return braids.parse_monodromy(Path(name_or_path).read_text(encoding="utf-8"))
 
 
-def projective_monodromy(mono: braids.MonodromyFile) -> braids.MonodromyData:
-    """The monodromy with its infinity meridian, which the projective group
-    needs; a file without an 'infinity:' line is refused."""
-    if mono.monodromy.infinity_meridian is None:
+def infinity_meridian(mono: braids.MonodromyFile) -> Word:
+    """The meridian of the line at infinity, whose relator turns the affine
+    group into the projective one; a file without an 'infinity:' line is
+    refused."""
+    if mono.infinity is None:
         raise InputError("the monodromy has no 'infinity:' line, and the"
                          " projective group needs the infinity meridian")
-    return mono.monodromy
+    return mono.infinity
 
 
 def load_presentation(args) -> Presentation:
@@ -183,11 +185,9 @@ def emit(args, text_lines, doc):
 
 def cmd_zvk(args) -> int:
     mono = load_monodromy(args.monodromy)
+    pres = braids.zvk_presentation(mono.strands, mono.braids, args.reduction)
     if args.projective:
-        data = projective_monodromy(mono)
-    else:
-        data = braids.MonodromyData(mono.strands, mono.monodromy.braids, None)
-    pres = braids.zvk_presentation(data, args.reduction)
+        pres = pres.with_relators([infinity_meridian(mono)])
     if args.simplify:
         pres = _simplify(pres, "zvk")
     emit(args, [print_presentation(pres).rstrip("\n")], {
@@ -436,13 +436,12 @@ def cmd_verify_curves(args) -> int:
 def cmd_pipeline(args) -> int:
     name = {"degtyarev": "degtyarev-newbraid"}.get(args.preset, args.preset)
     mono = load_monodromy(name)
-    projective = projective_monodromy(mono)
-    lines = [f"monodromy: {name} ({len(mono.monodromy.braids)} braids on"
+    infinity = infinity_meridian(mono)
+    lines = [f"monodromy: {name} ({len(mono.braids)} braids on"
              f" {mono.strands} strands)"]
     doc: dict = {"command": "pipeline", "preset": name}
 
-    affine_data = braids.MonodromyData(mono.strands, mono.monodromy.braids, None)
-    raw = braids.zvk_presentation(affine_data, "block")
+    raw = braids.zvk_presentation(mono.strands, mono.braids, "block")
     lines.append(f"zvk (block reduction): {len(raw.generators)} generators,"
                  f" {len(raw.relators)} relators")
     simplified = _simplify(raw, "affine")
@@ -454,7 +453,7 @@ def cmd_pipeline(args) -> int:
     doc["abelianization"] = str(ab)
 
     cap = coset_cap(args)
-    proj = raw.with_relators([projective.infinity_meridian])
+    proj = raw.with_relators([infinity])
     table = cosets.todd_coxeter(_simplify(proj, "projective"), **cap)
     lines.append(f"projective quotient (infinity meridian added):"
                  f" order {table.index}")
@@ -504,12 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON document instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p, orbifold_ok=True):
+    def add_source(p):
         p.add_argument("file", nargs="?", help="presentation file")
         p.add_argument("--preset", choices=PRESENTATION_PRESETS)
-        if orbifold_ok:
-            p.add_argument("--orbifold", metavar="SIG",
-                           help="orbifold signature, e.g. 'g=0 k=0 m=2,5,10'")
+        p.add_argument("--orbifold", metavar="SIG",
+                       help="orbifold signature, e.g. 'g=0 k=0 m=2,5,10'")
 
     p = sub.add_parser("zvk", help="presentation from braid monodromy")
     p.add_argument("monodromy", help="monodromy file or preset name"

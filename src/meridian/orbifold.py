@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abelian_invariants, abelianization, surjects_onto
+from .abelian import AbelianGroup, abelian_invariants, surjects_onto
 from .charvar import FiniteTorusVariety, RankOneVariety
 from .cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from .fpgroups import InputError, Presentation, commutator, multiply, power
@@ -305,14 +305,8 @@ def obstruct_infinite_rank_one(pres: Presentation,
               f" primitive 10th roots in V_2: {v2_prim10}"]
     comparisons.append(TargetComparison(sig2255, not v2_prim10, ev2255))
 
-    # (ii) P1_(2,5,10) via the index-10 kernels
-    target_pres = orbifold_presentation(sig2510)
-    target_ab = abelianization(target_pres)
-    target_kernel = reidemeister_schreier(
-        target_pres,
-        todd_coxeter(target_pres,
-                     SubgroupSpec.kernel_of((10,), list(target_ab.gen_images)))
-    ).presentation
+    # (ii) P1_(2,5,10) via the index-10 kernels; the target's is the genus-2
+    # surface group (Riemann-Hurwitz: 10 * chi(2,5,10) = -2)
     if ab.rank == 1:
         spec = SubgroupSpec.kernel_of((10,), list(ab.gen_images))
     else:
@@ -320,7 +314,7 @@ def obstruct_infinite_rank_one(pres: Presentation,
                                               for i in ab.gen_images])
     kernel = reidemeister_schreier(pres, todd_coxeter(pres, spec)).presentation
     k_lcs = lcs_quotients(kernel)
-    t_lcs = lcs_quotients(target_kernel)
+    t_lcs = lcs_quotients(orbifold_presentation(OrbifoldSignature(2)))
     k_ab, t_ab = k_lcs.degree(1), t_lcs.degree(1)
     evidence = [
         f"kernel abelianization: group {k_ab}, target {t_ab}",

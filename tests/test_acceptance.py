@@ -11,7 +11,6 @@ import pytest
 from meridian.abelian import AbelianGroup, abelianization, characters_of_order_dividing
 from meridian.braids import (
     BraidWord,
-    MonodromyData,
     artin_action,
     braid_equal,
     compose_path_monodromy,
@@ -80,7 +79,7 @@ def affine(presets):
 
 def test_acceptance_1_braid_monodromy(table1):
     """Composing the path table reproduces the three monodromy braids."""
-    composed = {name: compose_path_monodromy(table1.table, steps)
+    composed = {name: compose_path_monodromy(3, table1.paths, steps)
                 for name, steps in table1.compositions}
     assert braid_equal(composed["mu_plus"], bw(2, 2, 2, 2, 2))
     assert braid_equal(composed["mu_0"], conj(bw(2, 2, -1, 2), bw(1)))
@@ -104,12 +103,12 @@ def test_acceptance_1_braid_monodromy(table1):
 
 def test_acceptance_2_zvk_pipeline(newbraid):
     """Monodromy to order-320 quotient with Z/5 homology and Klein center."""
-    affine_data = MonodromyData(3, newbraid.monodromy.braids, None)
-    simplified = tietze_simplify(zvk_presentation(affine_data, "block"))
+    raw = zvk_presentation(3, newbraid.braids, "block")
+    simplified = tietze_simplify(raw)
     ab = abelianization(simplified.presentation)
     assert (ab.rank, ab.torsion) == (1, ())
 
-    projective = zvk_presentation(newbraid.monodromy, "block")
+    projective = raw.with_relators([newbraid.infinity])
     quintic = projective.with_relators([(1,) * 5])
     table = todd_coxeter(tietze_simplify(quintic).presentation)
     assert table.index == 320
@@ -170,6 +169,8 @@ def test_acceptance_5_subgroup_invariants(affine, presets):
     k2_lcs = lcs_quotients(k2)
     assert (k2_lcs.degree(2).rank, k2_lcs.degree(2).torsion) == (5, ())
     assert (k2_lcs.degree(3).rank, k2_lcs.degree(3).torsion) == (16, ())
+    # the obstruction takes the kernel to be the genus-2 surface group
+    assert k2_lcs == lcs_quotients(orbifold_presentation(OrbifoldSignature(2)))
 
     quotient = affine.with_relators([(1, 2) * 5])
     k1 = reidemeister_schreier(quotient, todd_coxeter(

@@ -7,8 +7,6 @@ from meridian.abelian import abelianization, characters_of_order_dividing
 from meridian.braids import (
     BraidError,
     BraidWord,
-    MonodromyData,
-    PathTable,
     artin_action,
     braid_equal,
     braid_permutation,
@@ -106,8 +104,8 @@ class TestBraidEqual:
         assert braid_equal(c * a, c * b)
 
 
-def table1() -> PathTable:
-    return parse_monodromy(preset_text("degtyarev-table1", ".braid")).table
+def table1() -> dict[str, BraidWord]:
+    return parse_monodromy(preset_text("degtyarev-table1", ".braid")).paths
 
 
 PATHS = {
@@ -125,15 +123,15 @@ PATHS = {
 
 class TestPathComposition:
     def test_mu_plus(self):
-        got = compose_path_monodromy(table1(), PATHS["mu_plus"])
+        got = compose_path_monodromy(3, table1(), PATHS["mu_plus"])
         assert braid_equal(got, bw(2, 2, 2, 2, 2))
 
     def test_mu_zero(self):
-        got = compose_path_monodromy(table1(), PATHS["mu_0"])
+        got = compose_path_monodromy(3, table1(), PATHS["mu_0"])
         assert braid_equal(got, conj(bw(2, 2, -1, 2), bw(1)))
 
     def test_mu_minus_value(self):
-        got = compose_path_monodromy(table1(), PATHS["mu_minus"])
+        got = compose_path_monodromy(3, table1(), PATHS["mu_minus"])
         assert braid_equal(got, conj(bw(2, 2, -1, 2), bw(2, 2, 2, 2, 2)))
 
     def test_mu_minus_is_not_the_longer_conjugate(self):
@@ -141,7 +139,7 @@ class TestPathComposition:
         # test_conjugation_identity_in_b3, already at the level of strand
         # permutations; the composed monodromy is the one validated by the
         # order-320 quotient downstream.
-        got = compose_path_monodromy(table1(), PATHS["mu_minus"])
+        got = compose_path_monodromy(3, table1(), PATHS["mu_minus"])
         other = conj(bw(2, 2, -1, 2, 1), bw(2, 2, 2, 2, 2))
         assert not braid_equal(got, other)
         assert braid_permutation(got) != braid_permutation(other)
@@ -151,20 +149,19 @@ class TestPathComposition:
         # short ones of the degtyarev-newbraid preset
         t = bw(2, 2, -1, 2)
         short = parse_monodromy(preset_text("degtyarev-newbraid", ".braid"))
-        composed = [compose_path_monodromy(table1(), PATHS[k])
+        composed = [compose_path_monodromy(3, table1(), PATHS[k])
                     for k in ("mu_plus", "mu_0", "mu_minus")]
-        for got, (_, target) in zip(composed, short.monodromy.braids):
+        for got, (_, target) in zip(composed, short.braids):
             assert braid_equal(t.inverse() * got * t, target)
 
     def test_unknown_path_name(self):
         with pytest.raises(KeyError):
-            compose_path_monodromy(table1(), [("nope", 1)])
+            compose_path_monodromy(3, table1(), [("nope", 1)])
 
 
 class TestZvk:
     def test_node(self):
-        data = MonodromyData(2, (("b", BraidWord(2, (1, 1))),))
-        pres = zvk_presentation(data, "none")
+        pres = zvk_presentation(2, (("b", BraidWord(2, (1, 1))),), "none")
         # commuting meridians
         assert set(pres.relators) <= {(2, 1, -2, -1), (1, 2, -1, -2),
                                       (-1, 2, 1, -2), (2, -1, -2, 1)}
@@ -175,29 +172,31 @@ class TestZvk:
     def test_cusp(self):
         from meridian.fpgroups import _relator_key
 
-        data = MonodromyData(2, (("b", BraidWord(2, (1, 1, 1))),))
-        pres = zvk_presentation(data, "none")
+        pres = zvk_presentation(2, (("b", BraidWord(2, (1, 1, 1))),), "none")
         # the relator is the braid relation g1 g2 g1 = g2 g1 g2
         braid_rel = _relator_key(multiply((1, 2, 1), invert((2, 1, 2))))
         assert {_relator_key(r) for r in pres.relators} == {braid_rel}
         # adding order-2 relations to the cusp relation gives S_3
         assert todd_coxeter(pres.with_relators([(1, 1), (2, 2)])).index == 6
 
+    def test_braid_with_other_strand_count(self):
+        with pytest.raises(BraidError):
+            zvk_presentation(3, (("b", BraidWord(2, (1,))),))
+
     def test_degtyarev_order_320(self, presets):
         mono = parse_monodromy(preset_text("degtyarev-newbraid", ".braid"))
-        pres = zvk_presentation(mono.monodromy, "block")
+        affine = zvk_presentation(3, mono.braids, "block")
+        pres = affine.with_relators([mono.infinity])
         quotient = pres.with_relators([(1,) * 5])
         assert todd_coxeter(quotient).index == 320
-        affine = MonodromyData(3, mono.monodromy.braids, None)
-        ab = abelianization(zvk_presentation(affine, "block"))
+        ab = abelianization(affine)
         assert (ab.rank, ab.torsion) == (1, ())
 
     def test_raw_output_simplifies_to_two_by_two(self):
         from meridian.fpgroups import tietze_simplify
 
         mono = parse_monodromy(preset_text("degtyarev-newbraid", ".braid"))
-        affine = MonodromyData(3, mono.monodromy.braids, None)
-        raw = zvk_presentation(affine, "none")
+        raw = zvk_presentation(3, mono.braids, "none")
         simplified = tietze_simplify(raw).presentation
         assert simplified.rank == 2
         assert len(simplified.relators) == 2
@@ -209,8 +208,10 @@ class TestZvk:
     @pytest.mark.parametrize("preset", ["degtyarev-newbraid", "degtyarev-table1"])
     def test_block_matches_none(self, preset):
         mono = parse_monodromy(preset_text(preset, ".braid"))
-        full = zvk_presentation(mono.monodromy, "none")
-        block = zvk_presentation(mono.monodromy, "block")
+        full = zvk_presentation(3, mono.braids, "none").with_relators(
+            [mono.infinity])
+        block = zvk_presentation(3, mono.braids, "block").with_relators(
+            [mono.infinity])
         assert len(block.relators) <= len(full.relators)
         ab_full, ab_block = abelianization(full), abelianization(block)
         assert (ab_full.rank, ab_full.torsion) == (ab_block.rank, ab_block.torsion)
@@ -223,7 +224,8 @@ class TestZvk:
 
     def test_infinity_meridian_appended(self):
         mono = parse_monodromy(preset_text("degtyarev-table1", ".braid"))
-        pres = zvk_presentation(mono.monodromy, "none")
+        pres = zvk_presentation(3, mono.braids, "none").with_relators(
+            [mono.infinity])
         inf = reduce_word((-1, -2, -1, -2, -3))
         assert any(r == inf or r == invert(inf) for r in pres.relators) \
             or todd_coxeter(pres.with_relators([(1,) * 5])).index == 320
@@ -232,7 +234,7 @@ class TestZvk:
 class TestMonodromyFormat:
     def test_round_trip_values(self):
         mono = parse_monodromy(preset_text("degtyarev-newbraid", ".braid"))
-        braids = dict(mono.monodromy.braids)
+        braids = dict(mono.braids)
         assert braid_equal(braids["mu_0"], bw(1))
         assert braid_equal(braids["mu_minus"], bw(2, 2, 2, 2, 2))
         assert braid_equal(braids["mu_plus"], conj(bw(-2, 1), bw(2, 2, 2, 2, 2)))
@@ -241,7 +243,8 @@ class TestMonodromyFormat:
         # the two presets present isomorphic projective groups
         for name in ("degtyarev-table1", "degtyarev-newbraid"):
             mono = parse_monodromy(preset_text(name, ".braid"))
-            pres = zvk_presentation(mono.monodromy, "none")
+            pres = zvk_presentation(3, mono.braids, "none").with_relators(
+                [mono.infinity])
             assert todd_coxeter(pres.with_relators([(1,) * 5])).index == 320
 
     @pytest.mark.parametrize("expr,letters", [
@@ -252,8 +255,8 @@ class TestMonodromyFormat:
     def test_one_grammar_for_braid_and_presentation_text(self, expr, letters):
         mono = parse_monodromy(f"strands 3;\nbraid b: {expr};\n"
                                f"infinity: {expr.replace('s', 'g')};\n")
-        assert mono.monodromy.braids[0][1].letters == letters
-        assert mono.monodromy.infinity_meridian == letters
+        assert mono.braids[0][1].letters == letters
+        assert mono.infinity == letters
         pres = parse_presentation(f"gens s1 s2; rel {expr};")
         assert pres.relators == (cyclic_reduce(letters),)
 
@@ -275,6 +278,10 @@ class TestMonodromyFormat:
          "'strands' declared twice"),
         ("strands 3;\npath a: s1;\n  compose m: a^-1 * b*a;\n", 3, 21,
          "unknown path name 'b'"),
+        ("strands 3;\npath a: s1;\npath a: s2;\ncompose m: a;\n", 3, 1,
+         "path 'a' declared twice"),
+        ("strands 3;\nbraid m: s1;\ninfinity: g1;\ninfinity: g2;\n", 4, 1,
+         "'infinity' declared twice"),
     ])
     def test_monodromy_input_errors_have_position(self, text, line, column,
                                                   message):
@@ -285,7 +292,7 @@ class TestMonodromyFormat:
 
     def test_compose_may_name_a_later_path(self):
         mono = parse_monodromy("strands 2;\ncompose m: a^-1;\npath a: s1;\n")
-        assert mono.monodromy.braids == (("m", BraidWord(2, (-1,))),)
+        assert mono.braids == (("m", BraidWord(2, (-1,))),)
 
     def test_malformed_strands_line(self):
         with pytest.raises(ParseError):
@@ -305,32 +312,32 @@ def monodromies(draw):
     words = st.lists(st.sampled_from(letters), max_size=10) if letters \
         else st.just([])
     braids = draw(st.lists(words, max_size=4))
-    return MonodromyData(strands, tuple(
-        (f"b{i}", BraidWord(strands, tuple(w))) for i, w in enumerate(braids)))
+    return strands, tuple(
+        (f"b{i}", BraidWord(strands, tuple(w))) for i, w in enumerate(braids))
 
 
-def strand_orbits(data: MonodromyData) -> int:
-    root = list(range(data.strands + 1))
+def strand_orbits(strands: int, braids) -> int:
+    root = list(range(strands + 1))
 
     def find(i):
         while root[i] != i:
             i = root[i]
         return i
 
-    for _, braid in data.braids:
+    for _, braid in braids:
         for i, j in enumerate(braid_permutation(braid), 1):
             root[find(i)] = find(j)
-    return sum(find(i) == i for i in range(1, data.strands + 1))
+    return sum(find(i) == i for i in range(1, strands + 1))
 
 
 @settings(max_examples=150)
 @given(monodromies())
-def test_abelianization_is_free_on_strand_orbits(data):
+def test_abelianization_is_free_on_strand_orbits(monodromy):
     # the relators g_i^-1 beta(g_i) abelianize to g_pi(i) = g_i, pi the
     # permutation of beta, for every monodromy and either reduction
-    orbits = strand_orbits(data)
+    orbits = strand_orbits(*monodromy)
     for reduction in ("none", "block"):
-        raw = zvk_presentation(data, reduction)
+        raw = zvk_presentation(*monodromy, reduction)
         for pres in (raw, tietze_simplify(raw).presentation):
             ab = abelianization(pres)
             assert (ab.rank, ab.torsion) == (orbits, ())

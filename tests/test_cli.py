@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import meridian.braids
 import meridian.charvar
 import meridian.nilpotent
 from meridian import cli
-from meridian.braids import MonodromyData, parse_monodromy, zvk_presentation
+from meridian.braids import parse_monodromy, zvk_presentation
 from meridian.cli import preset_text
 from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
 from meridian.fpgroups import parse_presentation, print_presentation, tietze_simplify
@@ -21,6 +23,7 @@ from conftest import DENSE_11X7
 MODULE = [sys.executable, "-m", "meridian.cli"]
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 INPUTS = GOLDEN.parent / "inputs"
+README = GOLDEN.parent.parent / "README.md"
 
 
 def run(*args, env_extra=None):
@@ -529,8 +532,8 @@ class TestDeterminismAndJson:
     @pytest.mark.parametrize("argv,code,count", [
         (["charvar", "--preset", "degtyarev-projective"], 0, 1),
         (["charvar", "--preset", "degtyarev-affine"], 0, 1),
-        (["obstruct", "--preset", "degtyarev-affine"], 1, 2),
-        (["pipeline", "--preset", "degtyarev"], 0, 2),
+        (["obstruct", "--preset", "degtyarev-affine"], 1, 1),
+        (["pipeline", "--preset", "degtyarev"], 0, 1),
         (["subgroup", "--preset", "p1-2-5-10",
           "--spec", "kernel Z/10 x->5 y->8"], 0, 0),
         (["obstruct", "--finite", "320", "--ab", "Z/5"], 1, 0),
@@ -582,8 +585,8 @@ class TestDeterminismAndJson:
         assert err == ("note: Tietze simplification of the zvk presentation"
                        " stopped at its budget after 1 moves; more moves were"
                        " available\n")
-        mono = parse_monodromy(preset_text(monodromy, ".braid")).monodromy
-        raw = zvk_presentation(MonodromyData(mono.strands, mono.braids), "block")
+        mono = parse_monodromy(preset_text(monodromy, ".braid"))
+        raw = zvk_presentation(mono.strands, mono.braids, "block")
         assert out == print_presentation(tietze_simplify(raw, 1).presentation)
 
     def test_lcs_notes_tietze_budget_stop(self, monkeypatch, capsys):
@@ -643,3 +646,130 @@ rel g2^-1*g3^4*g4^2*g1*g5^-3;
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout == ("gamma_1/gamma_2 = 1\ngamma_2/gamma_3 = 1\n"
                               "gamma_3/gamma_4 = 1\n")
+
+
+# stdout of `zvk` on both monodromy presets under every option, pinned byte
+# for byte: the simplified text literally, the rest by its sha256 digest
+SIMPLIFIED_NEWBRAID = (
+    'gens g1 g3;\n'
+    'rel g3*g1*g3^-1*g1*g3*g1*g3^-1*g1*g3*g1*g3^-1*g1^-1*g3*g1^-1*g3^-1*g1^-1*g3*g1^-1*g3^-1*g1^-1;\n'
+    'rel g3*g1*g3*g1*g3*g1^-1*g3^-1*g1^-1*g3^-1*g1^-1;\n')
+SIMPLIFIED_NEWBRAID_PROJECTIVE_NONE = (
+    'gens g1 g3;\n'
+    'rel g3*g1*g3^-1*g1*g3*g1*g3^-1*g1*g3;\n'
+    'rel g3*g1^-1*g3^-2*g1*g3^-1*g1^-1*g3*g1^-2*g3*g1*g3^-1*g1*g3^-1*g1*g3*g1^-1*g3*g1^-1*g3*g1;\n'
+    'rel g3^-1*g1*g3^-1*g1^-1*g3^2*g1*g3*g1*g3^-2*g1*g3^-1*g1^-1*g3*g1^-1;\n'
+    'rel g3*g1*g3*g1*g3*g1^-1*g3^-1*g1^-1*g3^-1*g1^-1;\n')
+SIMPLIFIED_NEWBRAID_PROJECTIVE_BLOCK = (
+    'gens g1 g3;\n'
+    'rel g3*g1*g3^-1*g1*g3*g1*g3^-1*g1*g3;\n'
+    'rel g3^-1*g1*g3^-1*g1^-1*g3^2*g1*g3*g1*g3^-2*g1*g3^-1*g1^-1*g3*g1^-1;\n'
+    'rel g3*g1*g3*g1*g3*g1^-1*g3^-1*g1^-1*g3^-1*g1^-1;\n')
+SIMPLIFIED_TABLE1 = (
+    'gens g1 g2 g3;\n'
+    'rel g3*g2*g3*g2*g3*g2^-1*g3^-1*g2^-1*g3^-1*g2^-1;\n'
+    'rel g2^-1*g3^-1*g2*g3*g2*g1^-1*g3*g2^-1*g3^-1*g1;\n'
+    'rel g1^-1*g3*g2*g3^-1*g1*g3*g2*g3^-1*g2^-1*g3^-1;\n'
+    'rel g1*g3*g2*g3^-1*g1^-1*g3*g2^-1*g3^-1*g1^-1*g3;\n'
+    'rel g3*g2*g1^2*g3*g2*g1*g2^-1*g3^-1*g1^-2*g3*g1^2*g2^-1*g3*g2*g1^-2*g3*g2^-1*g3^-1*g1^-1*g2^-1*g3^-1*g2^-1;\n'
+    'rel g2*g1^2*g3*g2*g1*g2^-1*g3^-1*g1^-2*g3*g1^2*g3*g2*g1*g2^-1*g3^-1*g1^-2*g3^-1*g1^2*g2^-1*g3*g2*g1^-2*g3*g2^-1*g3^-1*g1^-1*g2^-1*g3^-1;\n')
+SIMPLIFIED_TABLE1_PROJECTIVE = (
+    'gens g2 g3;\n'
+    'rel g3*g2*g3*g2*g3*g2^-1*g3^-1*g2^-1*g3^-1*g2^-1;\n'
+    'rel g3*g2*g3^-1*g2*g3*g2*g3^-1*g2*g3;\n'
+    'rel g2*g3^-1*g2*g3^-1*g2^-1*g3*g2^-2*g3*g2*g3^-2*g2^-1*g3^3*g2*g3*g2^-1*g3^-1;\n')
+ZVK_STDOUT = {
+    'zvk degtyarev-newbraid --reduction none':
+        '0bc5ec782aaeef0206424de38f0920e42a828e6af0c817cb3d781f15b2b7aad3',
+    '--json zvk degtyarev-newbraid --reduction none':
+        '22174c749e22d084544618c843708d229e02b73086f23c4c9c44ee8756020c78',
+    'zvk degtyarev-newbraid --reduction none --simplify':
+        SIMPLIFIED_NEWBRAID,
+    '--json zvk degtyarev-newbraid --reduction none --simplify':
+        'be62956fea5f8b44a2286682d93d9685c215c5f4ed9f9c5054109aa443978a59',
+    'zvk degtyarev-newbraid --reduction none --projective':
+        '192321b531b3b1d056a8efaf7e30755442b73f8cd68c7ec1cb61f0a59ddac0d2',
+    '--json zvk degtyarev-newbraid --reduction none --projective':
+        '7ac342d88db1127e82db12367f462038b6b1eeb91e862169fe049d75126f758e',
+    'zvk degtyarev-newbraid --reduction none --projective --simplify':
+        SIMPLIFIED_NEWBRAID_PROJECTIVE_NONE,
+    '--json zvk degtyarev-newbraid --reduction none --projective --simplify':
+        'ce0aa1f1ffce0416686b93f47a2abcdeec7b7ebdbecf52c731bafa4e9468094e',
+    'zvk degtyarev-newbraid --reduction block':
+        'd8beb24d8d253e7711f3695408c6bc0218128916bc3af17b77c71d43cf877075',
+    '--json zvk degtyarev-newbraid --reduction block':
+        '664d1d4f176511d4f2015b02351024438996d6dbee7ef30c2a3123feef733f4f',
+    'zvk degtyarev-newbraid --reduction block --simplify':
+        SIMPLIFIED_NEWBRAID,
+    '--json zvk degtyarev-newbraid --reduction block --simplify':
+        'be62956fea5f8b44a2286682d93d9685c215c5f4ed9f9c5054109aa443978a59',
+    'zvk degtyarev-newbraid --reduction block --projective':
+        'd579fafd1563b25d4780397a68396cfffb7b00a31926a958ad7558afce0e2188',
+    '--json zvk degtyarev-newbraid --reduction block --projective':
+        '1eed3eedb14f8f28cce652b3b0e1f41f49aba09431338beb5450705a93a7076d',
+    'zvk degtyarev-newbraid --reduction block --projective --simplify':
+        SIMPLIFIED_NEWBRAID_PROJECTIVE_BLOCK,
+    '--json zvk degtyarev-newbraid --reduction block --projective --simplify':
+        'af1e1d09f107fc4ded8e61257ced4a44f65a48cb438574b6aa0c9f7b01ef144e',
+    'zvk degtyarev-table1 --reduction none':
+        '7e34b68114ced1b2c92e32b3482dba2d3bd3bd8013d3e0b4c64e35095f1ec5ae',
+    '--json zvk degtyarev-table1 --reduction none':
+        'efeb0a46049aaf9f30d62fd5d1b62798398257326bbea34b015fcdf58b8abbea',
+    'zvk degtyarev-table1 --reduction none --simplify':
+        SIMPLIFIED_TABLE1,
+    '--json zvk degtyarev-table1 --reduction none --simplify':
+        '7629895c42c2b447f426d88263a630148b83ffa927caf249ab219e1f575a40fb',
+    'zvk degtyarev-table1 --reduction none --projective':
+        '16fdf58c84808b5696425a864c1d93a9f0338749f3d84636ec4ac6948277c39e',
+    '--json zvk degtyarev-table1 --reduction none --projective':
+        'e1eaf273f81d723714d10be003a8bf028ff4cff9fd17fe8e328a4a931fd9a76f',
+    'zvk degtyarev-table1 --reduction none --projective --simplify':
+        SIMPLIFIED_TABLE1_PROJECTIVE,
+    '--json zvk degtyarev-table1 --reduction none --projective --simplify':
+        'ecbded56ab26ea91c35317319631702dcae9cd7e2b0af93c267c2e0a5d739c94',
+    'zvk degtyarev-table1 --reduction block':
+        '7e34b68114ced1b2c92e32b3482dba2d3bd3bd8013d3e0b4c64e35095f1ec5ae',
+    '--json zvk degtyarev-table1 --reduction block':
+        'efeb0a46049aaf9f30d62fd5d1b62798398257326bbea34b015fcdf58b8abbea',
+    'zvk degtyarev-table1 --reduction block --simplify':
+        SIMPLIFIED_TABLE1,
+    '--json zvk degtyarev-table1 --reduction block --simplify':
+        '7629895c42c2b447f426d88263a630148b83ffa927caf249ab219e1f575a40fb',
+    'zvk degtyarev-table1 --reduction block --projective':
+        '16fdf58c84808b5696425a864c1d93a9f0338749f3d84636ec4ac6948277c39e',
+    '--json zvk degtyarev-table1 --reduction block --projective':
+        'e1eaf273f81d723714d10be003a8bf028ff4cff9fd17fe8e328a4a931fd9a76f',
+    'zvk degtyarev-table1 --reduction block --projective --simplify':
+        SIMPLIFIED_TABLE1_PROJECTIVE,
+    '--json zvk degtyarev-table1 --reduction block --projective --simplify':
+        'ecbded56ab26ea91c35317319631702dcae9cd7e2b0af93c267c2e0a5d739c94',
+}
+
+
+@pytest.mark.parametrize("argv", list(ZVK_STDOUT))
+def test_zvk_stdout_is_pinned(capsys, argv):
+    assert cli.main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    expected = ZVK_STDOUT[argv]
+    if expected.startswith("gens"):
+        assert out == expected
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `meridian ...` line of the README's command-line
+    examples."""
+    section = README.read_text(encoding="utf-8").split("## Command line")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("meridian ")]
+    assert commands
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    assert cli.main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""

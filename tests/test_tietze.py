@@ -254,4 +254,4 @@ def test_pipeline_step_counts(monkeypatch):
     monkeypatch.setattr(fpgroups, "tietze_simplify", recording)
     monkeypatch.setattr(cli, "tietze_simplify", recording)
     assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
-    assert steps == [4, 11, 4, 7, 47]
+    assert steps == [4, 11, 4, 47]
