@@ -408,9 +408,10 @@ def cmd_homs(args) -> int:
 
 
 def cmd_verify_curves(args) -> int:
-    ok1, residual = curves.verify_pencil_identity()
-    ok2 = curves.verify_parametrization()
-    report = curves.degtyarev_discriminant()
+    presets = curves.curve_presets()
+    ok1, residual = curves.verify_pencil_identity(presets)
+    ok2 = curves.verify_parametrization(presets)
+    report = curves.degtyarev_discriminant(presets)
     dual = curves.plucker_dual_degree(5, [(4, 2)] * 3)
     checks = [
         ("pencil identity quartic*tangent^2 = cubic^2 - 4*conic^3", ok1,

@@ -1,20 +1,28 @@
 """Exact checks of the explicit plane-curve identities behind the groups.
 
 MultiPoly is a sparse multivariate polynomial over Q with graded-lex term
-order; the presets below are the classical equations of the tricuspidal
-quartic pencil and of the rational degree-5 model, and the test suite pins
-their canonical string forms so a transcription slip cannot hide.
+order.  It follows ``exactalg.UniPoly``'s coefficient rule: an ``int``
+coefficient stays an ``int`` and any other becomes a ``fractions.Fraction``,
+so the integer presets below are expanded, substituted and discriminated in
+Z.  The presets are the classical equations of the tricuspidal quartic
+pencil and of the rational degree-5 model, and the test suite pins their
+canonical string forms so a transcription slip cannot hide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .exactalg import BiPoly, UniPoly, discriminant_y
 
 
 class MultiPoly:
-    """Sparse polynomial over Q in a fixed ordered tuple of variables."""
+    """Sparse polynomial over Q in a fixed ordered tuple of variables.
+
+    ``terms`` maps exponent tuples to nonzero ``int`` or ``Fraction``
+    coefficients; an ``int`` is never converted.
+    """
 
     __slots__ = ("variables", "terms")
 
@@ -22,7 +30,8 @@ class MultiPoly:
         self.variables = tuple(variables)
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, int):
+                c = Fraction(c)
             if c:
                 clean[tuple(exps)] = c
         self.terms = clean
@@ -37,7 +46,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value, variables) -> "MultiPoly":
-        return cls(variables, {tuple(0 for _ in variables): Fraction(value)})
+        return cls(variables, {tuple(0 for _ in variables): value})
 
     def _check(self, other):
         if self.variables != other.variables:
@@ -57,7 +66,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
@@ -85,8 +94,8 @@ class MultiPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
@@ -96,13 +105,16 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         out = MultiPoly.const(1, self.variables)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def substitute(self, assignment: dict) -> "MultiPoly":
@@ -233,20 +245,23 @@ def curve_presets() -> dict:
     }
 
 
-def verify_pencil_identity() -> tuple[bool, MultiPoly]:
+def verify_pencil_identity(presets: dict | None = None
+                           ) -> tuple[bool, MultiPoly]:
     """Check quartic * tangent^2 == cubic^2 - 4 conic^3 identically.
 
     Returns (holds, residual); the residual is the expanded difference.
+    ``presets`` is a ``curve_presets()`` dict, built here when omitted, as
+    in the two checks below.
     """
-    p = curve_presets()
+    p = curve_presets() if presets is None else presets
     residual = (p["quartic"] * p["tangent_line"] ** 2
                 - (p["cubic"] ** 2 - 4 * p["conic"] ** 3))
     return residual.is_zero(), residual
 
 
-def verify_parametrization() -> bool:
+def verify_parametrization(presets: dict | None = None) -> bool:
     """The rational parametrization lands on the quartic identically."""
-    p = curve_presets()
+    p = curve_presets() if presets is None else presets
     assignment = dict(p["parametrization"])
     assignment["a"] = MultiPoly.const(0, _TS)   # the quartic does not use a
     image = p["quartic"].substitute(assignment)
@@ -256,16 +271,16 @@ def verify_parametrization() -> bool:
 class DiscriminantReport:
     __slots__ = ("discriminant", "constant", "proportional")
 
-    def __init__(self, discriminant: UniPoly, constant: Fraction | None,
+    def __init__(self, discriminant: UniPoly, constant: int | Fraction | None,
                  proportional: bool):
         self.discriminant = discriminant
         self.constant = constant    # nonzero c with disc = c * x * (x^2-11x-1)^5
         self.proportional = proportional
 
 
-def quintic_fiber_polynomial() -> BiPoly:
+def quintic_fiber_polynomial(presets: dict | None = None) -> BiPoly:
     """The affine quintic as a cubic in y over Q[x] (projective z set to 1)."""
-    p = curve_presets()["quintic"]
+    p = (curve_presets() if presets is None else presets)["quintic"]
     coeffs = []
     for cy in p.coefficients_in("y"):
         # remaining variables (x, z); set z = 1
@@ -273,7 +288,7 @@ def quintic_fiber_polynomial() -> BiPoly:
         acc = UniPoly()
         for piece in xz:
             top = max((e[0] for e in piece.terms), default=-1)
-            dense = [Fraction(0)] * (top + 1)
+            dense = [0] * (top + 1)
             for exps, c in piece.terms.items():
                 dense[exps[0]] += c
             acc = acc + UniPoly(dense)
@@ -281,13 +296,13 @@ def quintic_fiber_polynomial() -> BiPoly:
     return BiPoly(coeffs)
 
 
-def degtyarev_discriminant() -> DiscriminantReport:
+def degtyarev_discriminant(presets: dict | None = None) -> DiscriminantReport:
     """Discriminant of the affine quintic fibration and its factored shape.
 
     The projection is 3:1, and the y-discriminant of the fiber cubic must be
     x (x^2 - 11x - 1)^5 up to a nonzero rational constant.
     """
-    disc = discriminant_y(quintic_fiber_polynomial())
+    disc = discriminant_y(quintic_fiber_polynomial(presets))
     expected = UniPoly([0, 1]) * (UniPoly([-1, -11, 1]) ** 5)
     q, r = disc.divmod(expected)
     if r.is_zero() and q.degree == 0 and q.coeffs[0]:

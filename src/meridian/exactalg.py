@@ -117,13 +117,16 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         result = UniPoly([1])
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:

@@ -11,6 +11,7 @@ import pytest
 import meridian.abelian
 import meridian.braids
 import meridian.charvar
+import meridian.curves
 import meridian.nilpotent
 from meridian import cli
 from meridian.braids import parse_monodromy, zvk_presentation
@@ -113,6 +114,13 @@ class TestBasics:
         assert out.returncode == 0
         assert out.stdout.count("PASS") == 4
         assert "FAIL" not in out.stdout
+
+    def test_verify_curves_json_is_pinned(self, capsys):
+        assert cli.main(["--json", "verify-curves"]) == 0
+        out = capsys.readouterr().out
+        assert '"detail": "c = -256"' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1960911af898e1d72b7faa70fc28fba54011e0efd6f9e2095a0fee2fbfa54076"
 
     def test_charvar_xt_preset(self):
         out = run("charvar", "--preset", "degtyarev-affine-xt")
@@ -508,6 +516,7 @@ class TestDeterminismAndJson:
           for n in range(8, 13)),
         (("subgroup", "--preset", "p1-2-5-10", "--spec", "kernel Z/10 x->5 y->8"),
          "kernel-p1-2-5-10.out"),
+        (("verify-curves",), "verify-curves.out"),
     ])
     def test_pipeline_matches_golden(self, args, golden):
         out = subprocess.run(MODULE + list(args), capture_output=True)
@@ -527,6 +536,20 @@ class TestDeterminismAndJson:
         assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
         assert "infinite-orbifold obstruction: no-surjection" in \
             capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_verify_curves_builds_presets_once(self, monkeypatch, capsys):
+        calls = []
+        build = meridian.curves.curve_presets
+
+        def counted():
+            calls.append(None)
+            return build()
+
+        monkeypatch.setattr(meridian.curves, "curve_presets", counted)
+        assert cli.main(["verify-curves"]) == 0
+        assert capsys.readouterr().out == \
+            (GOLDEN / "verify-curves.out").read_text()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("argv,code,count", [

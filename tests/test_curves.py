@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian.curves import (
     MultiPoly,
@@ -13,6 +14,32 @@ from meridian.curves import (
     verify_pencil_identity,
 )
 from meridian.exactalg import UniPoly
+
+
+def coefficient_types(p: MultiPoly) -> set:
+    return {type(c) for c in p.terms.values()}
+
+
+VARIABLES = ("x", "y", "z", "w")
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two MultiPolys in 2-4 variables, with only int coefficients or with
+    ints and Fractions mixed, and a rational point."""
+    variables = VARIABLES[:draw(st.integers(2, 4))]
+    integral = draw(st.booleans())
+    coefficient = st.integers(-5, 5) if integral else \
+        st.one_of(st.integers(-5, 5), rationals)
+    exponents = st.tuples(*(st.integers(0, 2) for _ in variables))
+
+    def poly():
+        return MultiPoly(variables, draw(
+            st.dictionaries(exponents, coefficient, max_size=5)))
+
+    point = {v: draw(rationals) for v in variables}
+    return poly(), poly(), point, integral
 
 
 def horner(p: UniPoly, x):
@@ -73,6 +100,33 @@ class TestMultiPolyRing:
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
             assert a + b == b + a
+
+    @settings(max_examples=200)
+    @given(polynomial_pairs())
+    def test_arithmetic_agrees_with_evaluation(self, pair):
+        a, b, point, integral = pair
+        va, vb = a.evaluate(point), b.evaluate(point)
+        results = [(a + b, va + vb), (a - b, va - vb), (a * b, va * vb)]
+        results += [(a ** n, va ** n) for n in range(4)]
+        for p, value in results:
+            assert p.evaluate(point) == value
+            assert coefficient_types(p) <= ({int} if integral
+                                            else {int, Fraction})
+
+    def test_fraction_coefficient_stays_exact(self):
+        xy = ("x", "y")
+        third = MultiPoly(xy, {(1, 0): Fraction(1, 3), (0, 1): 2})
+        assert third.terms == {(1, 0): Fraction(1, 3), (0, 1): 2}
+        assert coefficient_types(third) == {Fraction, int}
+        square = third ** 2
+        assert square.terms == {(2, 0): Fraction(1, 9),
+                                (1, 1): Fraction(4, 3), (0, 2): 4}
+        assert (third * 3).terms == {(1, 0): 1, (0, 1): 6}
+        assert (third - third).is_zero()
+
+    def test_negative_exponent_raises(self):
+        with pytest.raises(ValueError):
+            MultiPoly.var("x", ("x", "y")) ** -1
 
     def test_expansion_matches_evaluation(self):
         rng = random.Random(51)
@@ -146,6 +200,19 @@ class TestDiscriminant:
         expected = (UniPoly([0, 1]) * UniPoly([-1, -11, 1]) ** 5
                     * report.constant)
         assert report.discriminant == expected
+
+    def test_computed_in_z(self):
+        presets = curve_presets()
+        for name, poly in presets.items():
+            polys = poly.values() if name == "parametrization" else [poly]
+            for p in polys:
+                assert coefficient_types(p) == {int}, name
+        fiber = quintic_fiber_polynomial(presets)
+        for c in fiber.coeffs:
+            assert c.coeffs and all(type(k) is int for k in c.coeffs)
+        report = degtyarev_discriminant(presets)
+        assert all(type(k) is int for k in report.discriminant.coeffs)
+        assert report.constant == -256 and type(report.constant) is int
 
     def test_fiber_polynomial_is_cubic(self):
         f = quintic_fiber_polynomial()

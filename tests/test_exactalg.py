@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from meridian.exactalg import (
@@ -244,6 +245,10 @@ class TestIntegerCore:
         inverse = (UniPoly([1]) // UniPoly([lc])).coeffs[0]
         assert inverse * lc == 1
         assert type(inverse) is (int if lc in (1, -1) else Fraction)
+
+    def test_negative_exponent_raises(self):
+        with pytest.raises(ValueError):
+            UniPoly([1, 1]) ** -1
 
     def test_fractions_in_and_out(self):
         half = UniPoly([Fraction(1, 2), 1])
