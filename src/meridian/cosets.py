@@ -22,14 +22,14 @@ merge through union-find, the smaller coset surviving.
 ``max_cosets`` caps the rows of the table, dead ones included; there is no
 lookahead, and reaching the cap raises CosetOverflow.  Tables keep both
 directions of every edge, so generator and inverse actions stay mutually
-inverse.  Each finished table is renumbered in breadth-first order, so the
-output is deterministic and does not depend on the strategy.
+inverse.  One breadth-first walk numbers Felsch tables and kernel tables
+alike, so the output is deterministic and does not depend on the strategy.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 from . import fpgroups
@@ -62,15 +62,6 @@ class KernelSpec(namedtuple("KernelSpec", "moduli images")):
     """
 
     __slots__ = ()
-
-    def image_of(self, w: Word) -> tuple[int, ...]:
-        out = [0] * len(self.moduli)
-        for x in w:
-            img = self.images[abs(x) - 1]
-            s = 1 if x > 0 else -1
-            for i, c in enumerate(img):
-                out[i] = (out[i] + s * c) % self.moduli[i]
-        return tuple(out)
 
 
 class SubgroupSpec(namedtuple("SubgroupSpec", "words kernel",
@@ -159,7 +150,7 @@ PREFERRED_LIST_SIZE = 256
 
 
 def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
-    """Complete coset table as (action, inverse); CosetOverflow at the cap."""
+    """Standard coset table as (action, inverse); CosetOverflow at the cap."""
     ncols = 2 * n_gens
     starting_with = _relator_conjugates(relators, ncols)
     fill_factor = 5 * (ncols + 2) // 4
@@ -331,75 +322,45 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
         else:
             alpha += 1
 
-    live = [c for c in range(len(table)) if parent[c] == c]
-    remap = {c: i for i, c in enumerate(live)}
-    action = [[remap[rep(table[c][2 * g])] for c in live]
-              for g in range(n_gens)]
-    return action, [_invert_perm(perm) for perm in action]
+    # live rows may still point at cosets that died in a coincidence
+    return _standard(n_gens, 0, lambda c, col: rep(table[c][col]))
 
 
-def _invert_perm(perm):
-    inv = [0] * len(perm)
-    for c, d in enumerate(perm):
-        inv[d] = c
-    return inv
-
-
-def _standardize(action, inverse):
-    """Renumber cosets in BFS order from 0, exploring generators in order."""
-    n = len(action)
-    size = len(action[0]) if action else 0
-    order = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for g in range(n):
-            for nxt in (action[g][c], inverse[g][c]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-    remap = {c: i for i, c in enumerate(order)}
-    new_action = []
-    for g in range(n):
-        perm = [0] * size
-        for c in range(size):
-            perm[remap[c]] = remap[action[g][c]]
-        new_action.append(perm)
-    return new_action, [_invert_perm(p) for p in new_action]
+def _standard(n_gens: int, start, step):
+    """(action, inverse) numbered in the order a breadth-first walk from
+    ``start`` meets the nodes, trying columns g1, g1^-1, g2, ... in turn;
+    ``step(node, col)`` is the node a column leads to."""
+    number = {start: 0}
+    order = [start]
+    columns = [[] for _ in range(2 * n_gens)]
+    for node in order:
+        for col, perm in enumerate(columns):
+            nxt = step(node, col)
+            k = number.get(nxt)
+            if k is None:
+                k = number[nxt] = len(order)
+                order.append(nxt)
+            perm.append(k)
+    return columns[0::2], columns[1::2]
 
 
 def _kernel_table(pres: Presentation, spec: SubgroupSpec) -> CosetTable:
-    kern = spec.kernel
+    """Cosets are the elements of the target that the generator images reach;
+    each relator is stepped from 0 first, so a bad spec is refused before the
+    target is walked."""
+    moduli = spec.kernel.moduli
+    moves = [tuple(s * i for i in img)
+             for img in spec.kernel.images for s in (1, -1)]
+
+    def step(elem, col):
+        return tuple((e + i) % m for e, i, m in zip(elem, moves[col], moduli))
+
+    zero = (0,) * len(moduli)
     for rel in pres.relators:
-        if any(kern.image_of(rel)):
+        if reduce(step, _columns(rel), zero) != zero:
             raise InvalidSubgroup(
                 f"relator {pres.spell(rel)} maps outside the kernel")
-    # Cosets are the elements of the subgroup of the target generated by the
-    # generator images; BFS keeps the numbering deterministic.
-    elements = [tuple(0 for _ in kern.moduli)]
-    index_of = {elements[0]: 0}
-    qi = 0
-    while qi < len(elements):
-        base = elements[qi]
-        qi += 1
-        for img in kern.images:
-            nxt = tuple((b + i) % m for b, i, m in zip(base, img, kern.moduli))
-            if nxt not in index_of:
-                index_of[nxt] = len(elements)
-                elements.append(nxt)
-    size = len(elements)
-    action = []
-    for g in range(pres.rank):
-        img = kern.images[g]
-        perm = [0] * size
-        for c, base in enumerate(elements):
-            nxt = tuple((b + i) % m for b, i, m in zip(base, img, kern.moduli))
-            perm[c] = index_of[nxt]
-        action.append(perm)
-    inverse = [_invert_perm(p) for p in action]
-    action, inverse = _standardize(action, inverse)
+    action, inverse = _standard(pres.rank, zero, step)
     return CosetTable(pres.rank, action, inverse, spec)
 
 
@@ -418,7 +379,6 @@ def todd_coxeter(pres: Presentation, subgroup: SubgroupSpec | None = None,
         return _kernel_table(pres, subgroup)
     action, inverse = _felsch(pres.rank, pres.relators, subgroup.words,
                               max_cosets)
-    action, inverse = _standardize(action, inverse)
     return CosetTable(pres.rank, action, inverse, subgroup)
 
 
@@ -438,9 +398,9 @@ class MultTable:
     """Multiplication table of a finite group on indices 0..size-1.
 
     ``inverses[a]`` is the inverse of a.  It is computed once for the whole
-    table, on first use, by finding the identity in each row; ``inverse`` and
-    ``evaluate`` read it, and a table in which some row lacks the identity
-    raises ValueError there (``validate`` reaches it too).
+    table, on first use, by finding the identity in each row; ``evaluate``
+    and the epimorphism search read it, and a table in which some row lacks
+    the identity raises ValueError there (``validate`` reaches it too).
     """
 
     def __init__(self, size: int, table: list[list[int]], identity: int,
@@ -450,9 +410,6 @@ class MultTable:
         self.identity = identity
         self.generator_elements = generator_elements
 
-    def mult(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @cached_property
     def inverses(self) -> list[int]:
         try:
@@ -460,9 +417,6 @@ class MultTable:
         except ValueError:
             raise ValueError(
                 "element has no inverse; not a group table") from None
-
-    def inverse(self, a: int) -> int:
-        return self.inverses[a]
 
     def evaluate(self, w: Word, images) -> int:
         acc, inv = self.identity, self.inverses
@@ -516,19 +470,17 @@ class MultTable:
 
 
 def _spanning_tree(table: CosetTable) -> list[tuple[int, int, int]]:
-    """Edges (c, signed generator, d) of the BFS tree from coset 0, in order."""
-    seen = [False] * table.index
-    seen[0] = True
-    order = [0]
+    """Edges (c, signed generator, d) of the BFS tree from coset 0, in order.
+
+    The table is numbered by this walk, so a tree edge is one that leads to
+    the next coset number, len(edges) + 1."""
     edges = []
-    for c in order:
+    for c in range(table.index):
         for g in range(1, table.n_gens + 1):
-            for signed, nxt in ((g, table.action[g - 1][c]),
-                                (-g, table.inverse[g - 1][c])):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    order.append(nxt)
-                    edges.append((c, signed, nxt))
+            for signed, d in ((g, table.action[g - 1][c]),
+                              (-g, table.inverse[g - 1][c])):
+                if d == len(edges) + 1:
+                    edges.append((c, signed, d))
     return edges
 
 

@@ -245,26 +245,22 @@ def curve_presets() -> dict:
     }
 
 
-def verify_pencil_identity(presets: dict | None = None
-                           ) -> tuple[bool, MultiPoly]:
+def verify_pencil_identity(presets: dict) -> tuple[bool, MultiPoly]:
     """Check quartic * tangent^2 == cubic^2 - 4 conic^3 identically.
 
     Returns (holds, residual); the residual is the expanded difference.
-    ``presets`` is a ``curve_presets()`` dict, built here when omitted, as
-    in the two checks below.
+    ``presets`` is a ``curve_presets()`` dict, as in the checks below.
     """
-    p = curve_presets() if presets is None else presets
-    residual = (p["quartic"] * p["tangent_line"] ** 2
-                - (p["cubic"] ** 2 - 4 * p["conic"] ** 3))
+    residual = (presets["quartic"] * presets["tangent_line"] ** 2
+                - (presets["cubic"] ** 2 - 4 * presets["conic"] ** 3))
     return residual.is_zero(), residual
 
 
-def verify_parametrization(presets: dict | None = None) -> bool:
+def verify_parametrization(presets: dict) -> bool:
     """The rational parametrization lands on the quartic identically."""
-    p = curve_presets() if presets is None else presets
-    assignment = dict(p["parametrization"])
+    assignment = dict(presets["parametrization"])
     assignment["a"] = MultiPoly.const(0, _TS)   # the quartic does not use a
-    image = p["quartic"].substitute(assignment)
+    image = presets["quartic"].substitute(assignment)
     return image.is_zero()
 
 
@@ -278,11 +274,10 @@ class DiscriminantReport:
         self.proportional = proportional
 
 
-def quintic_fiber_polynomial(presets: dict | None = None) -> BiPoly:
+def quintic_fiber_polynomial(presets: dict) -> BiPoly:
     """The affine quintic as a cubic in y over Q[x] (projective z set to 1)."""
-    p = (curve_presets() if presets is None else presets)["quintic"]
     coeffs = []
-    for cy in p.coefficients_in("y"):
+    for cy in presets["quintic"].coefficients_in("y"):
         # remaining variables (x, z); set z = 1
         xz = cy.coefficients_in("z")
         acc = UniPoly()
@@ -296,7 +291,7 @@ def quintic_fiber_polynomial(presets: dict | None = None) -> BiPoly:
     return BiPoly(coeffs)
 
 
-def degtyarev_discriminant(presets: dict | None = None) -> DiscriminantReport:
+def degtyarev_discriminant(presets: dict) -> DiscriminantReport:
     """Discriminant of the affine quintic fibration and its factored shape.
 
     The projection is 3:1, and the y-discriminant of the fiber cubic must be

@@ -36,6 +36,7 @@ from meridian.cosets import (
     todd_coxeter,
 )
 from meridian.curves import (
+    curve_presets,
     degtyarev_discriminant,
     plucker_dual_degree,
     verify_parametrization,
@@ -196,10 +197,11 @@ def test_acceptance_6_epimorphisms(affine):
 
 
 def test_acceptance_7_curve_identities():
-    ok, residual = verify_pencil_identity()
+    curves = curve_presets()
+    ok, residual = verify_pencil_identity(curves)
     assert ok and residual.is_zero()
-    assert verify_parametrization()
-    report = degtyarev_discriminant()
+    assert verify_parametrization(curves)
+    report = degtyarev_discriminant(curves)
     assert report.proportional and report.constant
     assert plucker_dual_degree(5, [(4, 2)] * 3) == 5
     print("ACCEPTANCE 7 PASS: pencil identity, parametrization, discriminant"

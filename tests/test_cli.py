@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,18 @@ class TestExitCodes:
                 f"note: Tietze simplification stopped at --tietze-budget"
                 f" {budget} after {budget} moves; more moves were available\n"
                 if note else "")
+
+    def test_spec_outside_kernel_is_refused_before_the_walk(self):
+        # the target has 10^8 elements; walking it first would take minutes
+        start = time.perf_counter()
+        out = run("subgroup", "--preset", "degtyarev-affine",
+                  "--spec", "kernel Z/100000000 x->1 y->2")
+        elapsed = time.perf_counter() - start
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("error: relator x*y*x*y*x*y^-1*x^-1*y^-1*x^-1*y^-1"
+                              " maps outside the kernel\n")
+        assert elapsed < 2
 
     @pytest.mark.parametrize("args,message", [
         (("order", "--preset", "degtyarev-projective", "--max-cosets", "0"),
@@ -779,6 +792,51 @@ def test_zvk_stdout_is_pinned(capsys, argv):
         assert out == expected
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# stdout of kernel-mode subgroup specs that no benchmark golden covers, by
+# sha256 digest, text and --json
+KERNEL_STDOUT = {
+    ("subgroup", "degtyarev-affine", "kernel Z/2 x->1 y->1"): (
+        "ad02e71134586c17901acd5849efdfcd3a4e930c8210dbcf94b47f0d39055f99",
+        "cded94a44c7c3a0ba6b830dfe2d7d1e505ae7abc5ac619177d4d415ffa832da0"),
+    ("subgroup", "degtyarev-affine", "kernel Z/3 x->1 y->1"): (
+        "0e4c68eeeed43e61a24997380d22b891e78de7a48473fdaa80e430fd45683203",
+        "71c87bb7a61fcbdd3b119639556d532b5831d13b664755d414c407b443c26bc5"),
+    ("subgroup", "degtyarev-affine", "kernel Z/4 x->1 y->1"): (
+        "aa34493a855c7832d921ed68bc37bc374555c7a2c96653d4bdfaf6ee12ca7da7",
+        "0b590dd5b5045b9ccf3b199ac108cc2a4b60eac335b12bbf5636db1150d45e95"),
+    ("subgroup", "degtyarev-affine", "kernel Z/5 x->1 y->1"): (
+        "85a6d5d1b300240d4dcc1ad549bbc66def416242b6c34e51e9e2a695c1883024",
+        "54c4255a38eaa54cdcce74b9022d210af6b4b47ba36037ea3edf058d53124dfa"),
+    ("subgroup", "degtyarev-affine", "kernel Z/6 x->1 y->1"): (
+        "dec74277819fd1e1430087fddd9dadc4e49e9eb439ef345b83478ccb257f4989",
+        "7291952689614c9ffee25f67c6995f90f9ac0d963ea7acdbd2c51257ef73a6b5"),
+    ("subgroup", "degtyarev-affine", "kernel Z/7 x->1 y->1"): (
+        "182cbc4437cda47beb4dedd0e6e45f030ff955e393c83515e9bce991fb558f29",
+        "033a13d65102a79937db0f2abc95c4d6df03fedb8e1da20426c34a1ee74fb638"),
+    ("subgroup", "genus2", "kernel Z/2xZ/2 a1->1,0 b1->0,1"): (
+        "b4f4116786c2243600258a6cc0f32c2a7aa04227a7e17091f883e2c2c6bbbf81",
+        "475b50fbe52f3e11dfc17173f55f490f938c8847c059d4d487105b9a76df4ba3"),
+    ("subgroup", "c-2-3", "kernel Z/6 x->3 y->2"): (
+        "afb3ba64a9cbde09fc06fd3ce8fcac3e92f2d906612fbb6054c7d43da06867d8",
+        "7bd4edebde1baebca614c6e2c91df46c62f632537505332427f16c6a48457fa6"),
+    ("order", "free2", "kernel Z/3 x->1 y->2"): (
+        "fa902b34e3a20fc1bee37c44ddf7da1b6cb3f0b7bf359c5388ccaca60d610c05",
+        "af3521ba9fd67d10d3a3649ff036d517c5c6f28202157bb3a1e3765a55099e7a"),
+}
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("command, preset, spec", list(KERNEL_STDOUT))
+def test_kernel_stdout_is_pinned(capsys, command, preset, spec, json_flag):
+    option = "--spec" if command == "subgroup" else "--subgroup"
+    argv = [command, "--preset", preset, option, spec]
+    assert cli.main(["--json"] * json_flag + argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        KERNEL_STDOUT[command, preset, spec][json_flag]
 
 
 def readme_commands() -> list[list[str]]:

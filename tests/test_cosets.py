@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_cosets
 from reference_epimorphisms import closure
 from meridian.abelian import AbelianGroup, abelianization, quotient_invariants
+from meridian.cli import parse_subgroup_spec
 from meridian.cosets import (
     CosetOverflow,
     InvalidSubgroup,
@@ -22,6 +23,7 @@ from meridian.cosets import (
     regular_rep,
     regular_rep_and_center,
     reidemeister_schreier,
+    schreier_rewrite,
     todd_coxeter,
 )
 from meridian.fpgroups import Presentation, parse_presentation, parse_words
@@ -472,3 +474,31 @@ def test_presets_same_standardized_table_as_hlt(presets, name, extra, spec,
     words = parse_words(spec, {g: i + 1 for i, g in enumerate(pres.generators)})
     table = _assert_same_as_hlt(pres, SubgroupSpec.from_words(words))
     assert table.index == index
+
+
+# --- kernel tables against both enumerators ----------------------------------
+
+KERNELS = (
+    [(text, None) for text in BASE_GROUPS]
+    + [("degtyarev-affine", f"kernel Z/{n} x->1 y->1") for n in range(2, 13)]
+    + [("p1-2-5-10", "kernel Z/10 x->5 y->8")]
+)
+
+
+@pytest.mark.parametrize("name, spec", KERNELS)
+def test_kernel_table_is_enumerated_table(presets, name, spec):
+    """A kernel table is the table of the subgroup its Schreier generators
+    generate, as Felsch and HLT enumerate it; spec None is the commutator
+    subgroup of a finite group."""
+    pres = _presentation(presets, name)
+    if spec is None:
+        ab = abelianization(pres)
+        assert ab.rank == 0
+        kernel = SubgroupSpec.kernel_of(ab.torsion, ab.gen_images)
+    else:
+        kernel = parse_subgroup_spec(spec, pres)
+    table = todd_coxeter(pres, kernel)
+    words = SubgroupSpec.from_words(schreier_rewrite(pres, table)[1])
+    felsch = todd_coxeter(pres, words)
+    assert (table.action, table.inverse) == (felsch.action, felsch.inverse) \
+        == reference_cosets.todd_coxeter(pres, words)

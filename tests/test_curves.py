@@ -146,7 +146,7 @@ class TestMultiPolyRing:
 
 class TestPencilIdentity:
     def test_holds_identically(self):
-        ok, residual = verify_pencil_identity()
+        ok, residual = verify_pencil_identity(curve_presets())
         assert ok and residual.is_zero()
 
     def test_perturbation_detected(self):
@@ -168,7 +168,7 @@ class TestPencilIdentity:
 
 class TestParametrization:
     def test_lies_on_quartic(self):
-        assert verify_parametrization()
+        assert verify_parametrization(curve_presets())
 
     def test_perturbed_quartic_fails(self):
         p = curve_presets()
@@ -190,13 +190,13 @@ class TestParametrization:
 
 class TestDiscriminant:
     def test_shape(self):
-        report = degtyarev_discriminant()
+        report = degtyarev_discriminant(curve_presets())
         assert report.proportional
         assert report.constant not in (None, 0)
         assert report.discriminant.degree == 11
 
     def test_explicit_factorization(self):
-        report = degtyarev_discriminant()
+        report = degtyarev_discriminant(curve_presets())
         expected = (UniPoly([0, 1]) * UniPoly([-1, -11, 1]) ** 5
                     * report.constant)
         assert report.discriminant == expected
@@ -215,7 +215,7 @@ class TestDiscriminant:
         assert report.constant == -256 and type(report.constant) is int
 
     def test_fiber_polynomial_is_cubic(self):
-        f = quintic_fiber_polynomial()
+        f = quintic_fiber_polynomial(curve_presets())
         assert f.degree_y == 3
         assert f.coeffs[3] == UniPoly([1])
 
