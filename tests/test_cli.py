@@ -12,6 +12,7 @@ import pytest
 import meridian.abelian
 import meridian.braids
 import meridian.charvar
+import meridian.cosets
 import meridian.curves
 import meridian.nilpotent
 from meridian import cli
@@ -36,14 +37,14 @@ def run(*args, env_extra=None):
                           text=True, env=env)
 
 
-def count_calls(monkeypatch, function) -> list:
-    """First argument of every call to a meridian function, however it was
-    imported, for the rest of the test."""
+def count_calls(monkeypatch, function, position=0) -> list:
+    """The argument at ``position`` (the first by default) of every call to a
+    meridian function, however it was imported, for the rest of the test."""
     calls = []
 
-    def counted(first, *rest):
-        calls.append(first)
-        return function(first, *rest)
+    def counted(*args):
+        calls.append(args[position])
+        return function(*args)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("meridian") and \
@@ -154,7 +155,8 @@ class TestExitCodes:
         assert out.returncode == 3
 
     def test_cap_counts_table_rows(self):
-        # the enumeration of the order-320 group needs 3,590 table rows
+        # the order-320 group needs 461 rows of the table of <x*y>, and the
+        # cap must also hold its 320 elements
         out = run("order", "--preset", "degtyarev-projective",
                   "--max-cosets", "5600")
         assert out.returncode == 0
@@ -214,6 +216,21 @@ class TestExitCodes:
         assert out.stdout == ""
         assert out.stderr == ("error: relator x*y*x*y*x*y^-1*x^-1*y^-1*x^-1*y^-1"
                               " maps outside the kernel\n")
+        assert elapsed < 2
+
+    def test_kernel_cap_is_exit_three(self):
+        spec = ("order", "--preset", "degtyarev-affine", "--subgroup")
+        out = run(*spec, "kernel Z/1000 x->1 y->1", "--max-cosets", "10")
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr == \
+            "resource limit: coset enumeration exceeded 10 cosets\n"
+        # the 10^8 elements of the target are counted, not walked
+        start = time.perf_counter()
+        out = run(*spec, "kernel Z/100000000 x->1 y->1")
+        elapsed = time.perf_counter() - start
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr == \
+            "resource limit: coset enumeration exceeded 1000000 cosets\n"
         assert elapsed < 2
 
     @pytest.mark.parametrize("args,message", [
@@ -580,6 +597,19 @@ class TestDeterminismAndJson:
         assert cli.main(argv) == code
         assert capsys.readouterr().err == ""
         assert len(calls) == len(set(calls)) == count
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--preset", "degtyarev"],
+        ["center", "--preset", "degtyarev-projective"],
+        ["homs", "--preset", "degtyarev-affine", "--target", "degtyarev-320"],
+    ])
+    def test_finite_groups_enumerate_a_cyclic_subgroup(self, monkeypatch,
+                                                       capsys, argv):
+        # the trivial subgroup is enumerated through <g1*...*gn>, never alone
+        words = count_calls(monkeypatch, meridian.cosets._felsch, 2)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert words and all(words)
 
     def test_pipeline_builds_one_zvk_presentation(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, meridian.braids.zvk_presentation)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -392,6 +393,62 @@ def test_same_standardized_table_as_hlt(case):
     _assert_same_as_hlt(*case)
 
 
+def _order_of_w(table):
+    """|<g1*...*gn>|: the least k for which w^k fixes coset 0."""
+    w = tuple(range(1, table.n_gens + 1))
+    c, k = table.trace(0, w), 1
+    while c != 0:
+        c, k = table.trace(c, w), k + 1
+    return k
+
+
+@settings(max_examples=300)
+@given(finite_enumerations())
+def test_trivial_subgroup_through_cyclic_subgroup(case):
+    """The order comes from the table of <w>, w = g1*...*gn: the regular
+    table equals HLT's, and [G : <w>] * |<w>| = |G|."""
+    pres, _ = case
+    table = _assert_same_as_hlt(pres, None)
+    w = tuple(range(1, pres.rank + 1))
+    cyclic = todd_coxeter(pres, SubgroupSpec.from_words([w]))
+    assert cyclic.index * _order_of_w(table) == table.index
+
+
+@pytest.mark.parametrize("text, order", [
+    ("gens x; rel x^7;", 7),
+    # w = a*b*c is trivial, so the table of <w> is the regular one
+    ("gens a b c; rel a^2; rel b^3; rel c^5; rel a*b*c;", 60),
+])
+def test_cyclic_route_fixed_cases(text, order):
+    assert _assert_same_as_hlt(parse_presentation(text), None).index == order
+
+
+def test_rank_zero_is_the_trivial_group():
+    table = todd_coxeter(Presentation((), ((), ())))
+    assert (table.index, table.action, table.inverse) == (1, [], [])
+
+
+@pytest.mark.parametrize("text", [
+    "gens x;",
+    # Z^2: the abelianization shows |G| infinite before any enumeration
+    "gens x y; rel x*y*x^-1*y^-1;",
+    # the infinite dihedral group: <x*y> has index 2 and infinite order
+    "gens x y; rel x^2; rel y^2;",
+])
+def test_infinite_order_raises_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(CosetOverflow):
+        todd_coxeter(parse_presentation(text))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_rows_of_cyclic_table_are_capped():
+    # Z/2 * Z/3: <x*y> has infinite index, so its table fills the cap
+    with pytest.raises(CosetOverflow):
+        todd_coxeter(parse_presentation("gens x y; rel x^2; rel y^3;"),
+                     max_cosets=100)
+
+
 @pytest.mark.parametrize("text, index", [
     # without rescanning the edges a coincidence moves, the enumeration ends
     # at a table of 4 cosets that breaks (x*y)^4
@@ -427,17 +484,27 @@ def _presentation(presets, name):
     return parse_presentation(PIPELINE.get(name, name))
 
 
-@pytest.mark.parametrize("name, rows", [
-    # plain Felsch, defining in table order only, needs 5,593, 6,038 and 427
-    ("degtyarev-projective", 3590),
-    ("pipeline-meridian5", 3242),
-    ("pipeline-projective", 370),
-])
-def test_rows_with_preferred_definitions(presets, name, rows):
+@pytest.mark.parametrize("name, spec, index, rows", [
+    # The trivial subgroup goes through the table of <g1*g2>, whose rows and
+    # the order 320 are both capped: 461 and 466 rows, and 320 elements for a
+    # table of 88 rows.  Enumerated directly, the trivial subgroup needed
+    # 3,590, 3,242 and 370 rows, and plain Felsch, defining in table order
+    # only, 5,593, 6,038 and 427.  The word-mode pins keep the preferred
+    # definitions of the longer enumerations covered.
+    ("degtyarev-projective", "", 320, 461),
+    ("pipeline-meridian5", "", 320, 466),
+    ("pipeline-projective", "", 320, 320),
+    ("degtyarev-projective", "x", 64, 1316),
+    ("pipeline-meridian5", "g1", 64, 1430),
+    ("pipeline-projective", "g1", 64, 95),
+], ids=lambda v: (v or "trivial") if isinstance(v, str) else None)
+def test_rows_with_preferred_definitions(presets, name, spec, index, rows):
     pres = _presentation(presets, name)
-    assert todd_coxeter(pres, max_cosets=rows).index == 320
+    words = parse_words(spec, {g: i + 1 for i, g in enumerate(pres.generators)})
+    subgroup = SubgroupSpec.from_words(words)
+    assert todd_coxeter(pres, subgroup, max_cosets=rows).index == index
     with pytest.raises(CosetOverflow):
-        todd_coxeter(pres, max_cosets=rows - 1)
+        todd_coxeter(pres, subgroup, max_cosets=rows - 1)
 
 
 @pytest.mark.parametrize("name, extra, spec, index", [
@@ -502,3 +569,22 @@ def test_kernel_table_is_enumerated_table(presets, name, spec):
     felsch = todd_coxeter(pres, words)
     assert (table.action, table.inverse) == (felsch.action, felsch.inverse) \
         == reference_cosets.todd_coxeter(pres, words)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_kernel_index_is_computed_before_the_walk(data):
+    """The cap sees the order of the image before the walk: a cap of the
+    walked index passes and one less overflows."""
+    rank = data.draw(st.integers(1, 3))
+    moduli = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    coords = st.lists(st.integers(-9, 9), min_size=len(moduli),
+                      max_size=len(moduli))
+    images = data.draw(st.lists(coords, min_size=rank, max_size=rank))
+    pres = Presentation(tuple(f"g{i}" for i in range(1, rank + 1)), ())
+    spec = SubgroupSpec.kernel_of(moduli, images)
+    index = todd_coxeter(pres, spec).index
+    assert todd_coxeter(pres, spec, max_cosets=index).index == index
+    if index > 1:
+        with pytest.raises(CosetOverflow):
+            todd_coxeter(pres, spec, max_cosets=index - 1)
