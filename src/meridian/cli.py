@@ -469,9 +469,9 @@ def cmd_pipeline(args) -> int:
     lines.append(f"center: order {len(center)}, {invariants}")
     doc["center"] = str(invariants)
 
-    ab5 = abelian_invariants(merid)
-    lines.append(f"projective abelianization: {ab5}")
-    doc["projective_abelianization"] = str(ab5)
+    proj_ab = abelian_invariants(proj)
+    lines.append(f"projective abelianization: {proj_ab}")
+    doc["projective_abelianization"] = str(proj_ab)
 
     cv_lines, cv_doc = _charvar_lines(variety)
     lines.extend(cv_lines)
@@ -484,7 +484,7 @@ def cmd_pipeline(args) -> int:
         lines.append(f"  target {comp.target}: {state}")
     doc["obstruction"] = report.verdict
 
-    fin = orbifold.obstruct_finite(table.index, ab5)
+    fin = orbifold.obstruct_finite(table.index, proj_ab)
     lines.append(f"finite-orbifold obstruction for the projective group:"
                  f" {fin.verdict}")
     doc["finite_obstruction"] = fin.verdict
@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_curves)
 
     p = sub.add_parser("pipeline", help="full reproduction pipeline")
-    p.add_argument("--preset", default="degtyarev")
+    p.add_argument("--preset", default="degtyarev",
+                   help="monodromy preset or monodromy file (default degtyarev)")
     p.add_argument("--max-cosets", type=int)
     p.set_defaults(func=cmd_pipeline)
 

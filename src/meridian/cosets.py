@@ -2,35 +2,37 @@
 
 The enumerator follows Felsch's strategy with preferred definitions, as in
 Havas and Ramsay's ACE (Havas, "Coset enumeration strategies", ISSAC 1991).
-Each relator is compiled once into the distinct cyclic conjugates of it and
-of its inverse, as table columns and their inverse columns, indexed by first
-letter.  The subgroup generators and then all relator conjugates are scanned
-at coset 0, first for what they give without a definition, then filled;
-after that, cosets are defined one entry at a time.
+Every scanned word is compiled once into table columns and inverse columns;
+the distinct cyclic conjugates of the relators and their inverses are
+indexed by first letter.  One loop does every scan: first the coset-0 scans
+of the subgroup generators and then of all relator conjugates, once without a
+definition and once filled, then the deductions, one definition at a time.
 Every edge that gets set (a definition, a deduction, or an edge moved while a
-coincidence collapses) goes on a deduction stack, which is emptied after each
-definition: an edge is processed by scanning, at its source coset, the
-conjugates that start with its letter.  A scan left with a gap of one letter
-deduces that entry; a gap of two letters makes the first of them a preferred
-definition, since defining it lets the next scan deduce the second.  The next
-definition is the newest preferred entry still open while the table has fewer
-than F*(alpha+1) rows, where alpha is the first live incomplete row and
-F = 5*(columns+2)//4 is ACE's default fill factor; otherwise it is the first
-undefined entry of row alpha.  The bound keeps definitions in table order
-coming, which the argument that the enumeration finishes needs.  Coincidences
-merge through union-find, the smaller coset surviving.
+coincidence collapses) goes on a deduction stack, which the loop empties
+after each definition: an edge is processed by scanning, at its source coset,
+the conjugates that start with its letter.  A scan left with a gap of one
+letter deduces that entry; a gap of two letters makes the first of them a
+preferred definition, since defining it lets the next scan deduce the second.
+The next definition is the newest preferred entry still open while the table
+has fewer than F*(alpha+1) rows, where alpha is the first live incomplete row
+and F = 5*(columns+2)//4 is ACE's default fill factor; otherwise it is the
+first undefined entry of row alpha.  The bound keeps definitions in table
+order coming, which the argument that the enumeration finishes needs.
+Coincidences merge through union-find, the smaller coset surviving.
 
 The trivial subgroup is not enumerated itself.  The same pass enumerates the
 cosets of H = <w>, w = g1*g2*...*gn, and labels each entry (c, x) with an
 integer L such that rep(c) x = w^L rep(c.x) in G, so every label is a true
 statement: this is the modified Todd-Coxeter procedure of a cyclic subgroup
 (Neubuser, 1982; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, ch. 5).  The gcd m of the label sums of every relator at every
-coset and of (the label sum of w at coset 0) - 1 is exactly |H|, and the
-regular action on Z/m x cosets, walked from (0, 0), is the table of the
-trivial subgroup (``_regular`` has the proof).  On the order-320 groups of
-the pipeline that takes 88 to 466 rows where the trivial subgroup took 370
-to 3,590.
+Theory, 2005, ch. 5).  The label belongs to the scanned cycle: 1 for w at
+coset 0, 0 for a relator and for every generator of a subgroup given by
+words, so the tables of such subgroups carry no labels.  The gcd m of the
+label sums of every relator at every coset and of (the label sum of w at
+coset 0) - 1 is exactly |H|, and the regular action on Z/m x cosets, walked
+from (0, 0), is the table of the trivial subgroup (``_regular`` has the
+proof).  On the order-320 groups of the pipeline that takes 88 to 466 rows
+where the trivial subgroup took 370 to 3,590.
 
 ``max_cosets`` caps the rows of the table, dead ones included; there is no
 lookahead, and reaching the cap raises CosetOverflow.  For the trivial
@@ -140,32 +142,41 @@ def _columns(word: Word) -> list[int]:
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in word]
 
 
+def _conjugates(cols: list[int]):
+    """The cyclic conjugates of a word given as columns, from each letter k,
+    as (first column, (tail, inverse, start, last, paths)): the conjugate is
+    letters k to last = k + n - 1 of the word doubled, ``tail`` the columns of
+    letters start = k + 1 to last, ``inverse[i]`` the inverse column of letter
+    i, and ``paths[i]`` the columns after letter i round to the one before,
+    along which the labels of a gap at letter i are read.  The conjugates
+    share ``inverse`` and ``paths``, and each tail is an item of ``paths``.
+    """
+    n = len(cols)
+    paths = tuple(tuple(cols[k + 1:] + cols[:k]) for k in range(n)) * 2
+    inverse = tuple(c ^ 1 for c in cols) * 2
+    return [(cols[k], (paths[k], inverse, k + 1, k + n - 1, paths))
+            for k in range(n)]
+
+
 def _relator_conjugates(relators, ncols: int):
-    """Distinct cyclic conjugates of each relator and its inverse, as columns.
+    """Distinct cyclic conjugates of each relator and its inverse.
 
     ``out[col]`` lists the conjugates whose first column is col, shortest
-    relators first, each as (the columns after the first, the inverse
-    columns, the last index, the paths): a deduction scan at an edge in
-    column col starts past it and reads the inverse columns backwards.
-    ``paths[i]`` is the columns after letter i round to the one before it,
-    along which the labels of a gap at letter i are read; it is the first
-    item of another conjugate, so nothing is copied.  Only lists are
-    iterated, so the order does not depend on hashing.
+    relators first, as ``_conjugates`` compiles them: a deduction scan at an
+    edge in column col starts past it and reads the inverse columns
+    backwards.  Only lists are iterated, so the order does not depend on
+    hashing.
     """
     out: list[list[tuple]] = [[] for _ in range(ncols)]
     seen = set()
     for rel in sorted(relators, key=len):
         cols = _columns(rel)
         for word in (cols, [c ^ 1 for c in reversed(cols)]):
-            n = len(word)
-            tails = [tuple(word[k + 1:] + word[:k]) for k in range(n)]
-            for k in range(n):
-                conj = tuple(word[k:] + word[:k])
-                if conj not in seen:
-                    seen.add(conj)
-                    out[conj[0]].append((
-                        tails[k], tuple(c ^ 1 for c in conj), n - 1,
-                        tuple(tails[(k + i) % n] for i in range(n))))
+            for col, conj in _conjugates(word):
+                key = (col,) + conj[0]
+                if key not in seen:
+                    seen.add(key)
+                    out[col].append(conj)
     return out
 
 
@@ -174,20 +185,28 @@ PREFERRED_LIST_SIZE = 256
 
 
 def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
-    """Enumerate; returns (live cosets, step), step(c, col) being the live
-    coset that column col leads to from c and the label of that edge.
-    CosetOverflow at the cap.
+    """Enumerate over the subgroup of the words of ``subgroup_words``, a list
+    of (word, label) pairs; returns (live cosets, step), step(c, col) being
+    the live coset that column col leads to from c and the label of that
+    edge.  CosetOverflow at the cap.
 
     Coset c stands for a fixed element t_c of its coset, t_0 = 1, t_d = t_c x
     when d is defined as c.x.  An entry (c, x) -> d carries the label L with
     t_c x = w^L t_d, and both directions of an edge carry it, negated
-    backwards.  The labels speak of w when it is the only subgroup word; with
-    more words nothing reads them.  A scan that closes, or deduces its gap,
-    at coset c reads the labels of the letters it traced (no other scan
-    does): t_c r = t_c for a relator r and t_0 w = w t_0 give the label the
-    gap needs, or the power of w between two coinciding cosets, which the
-    union-find keeps as ``shift``: t_c = w^shift[c] t_parent[c].  Only rows
-    with a nonzero label are stored, so a definition costs no label work.
+    backwards.  A label belongs to the cycle a scan traces: 0 for a relator,
+    and for a subgroup word the label of its pair, 1 for w at coset 0 on the
+    route of ``_regular`` and 0 in word mode, where no label is ever stored.
+    A scan that closes, or deduces its gap, at coset c reads the labels of
+    the letters it traced (no other scan does): t_c u = w^label t_c for the
+    cycle u gives the label the gap needs, or the power of w between two
+    coinciding cosets, which the union-find keeps as ``shift``:
+    t_c = w^shift[c] t_parent[c].  Only rows with a nonzero label are
+    stored, so a definition costs no label work.
+
+    One loop does every scan.  Before any deduction it drains ``scans``, the
+    coset-0 scans as items (coset, first column, conjugates, cycle label,
+    fill), once without definitions and once filled; a fill item defines one
+    coset at its gap and is queued again.
     """
     ncols = 2 * n_gens
     starting_with = _relator_conjugates(relators, ncols)
@@ -288,44 +307,6 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
         table[c][col] = d
         deductions.append((c, col))
 
-    def scan(c, word, target, fill):
-        """Trace word from c both ways, defining cosets until it closes if
-        fill is set; otherwise only a deduction or a coincidence."""
-        inverse = [x ^ 1 for x in word]
-        cycle = word + word
-
-        def closing(i, j):
-            return gap_label(b, cycle[j + 1:len(word) + i], target)
-
-        f, i = c, 0
-        b, j = c, len(word) - 1
-        while True:
-            while i <= j:
-                nxt = table[f][word[i]]
-                if nxt == UNDEF:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b, closing(i, j))
-                return
-            while j >= i:
-                nxt = table[b][inverse[j]]
-                if nxt == UNDEF:
-                    break
-                b = nxt
-                j -= 1
-            if j < i:
-                coincidence(f, b, closing(i, j))
-                return
-            if i == j:
-                join(f, word[i], b, closing(i, j))
-                return
-            if not fill:
-                return
-            define(f, word[i])
-
     def define_preferred():
         """Define the newest preferred entry still open; False if none is."""
         while preferred:
@@ -335,33 +316,39 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
                 return True
         return False
 
-    # The subgroup words and then all relator conjugates are scanned at
-    # coset 0, first for what they give without a definition.
-    initial = [(_columns(w), 1) for w in subgroup_words] + [
-        ((col,) + tail, 0)
-        for col, words in enumerate(starting_with) for tail, _, _, _ in words]
-    for fill in (False, True):
-        for word, target in initial:
-            scan(0, word, target, fill)
-    # Each round empties the deduction stack, then makes one definition.
+    # ``scans`` holds the items in reverse.  Its bottom item scans nothing:
+    # it sets the cycle label 0 and filling off, which every deduction after
+    # it keeps, so a deduction, the frequent item, only picks its conjugates.
+    initial = [(col, conj, target) for word, target in subgroup_words
+               for col, conj in _conjugates(_columns(word))[:1]]
+    initial += [(col, conj, 0) for col, conjugates in enumerate(starting_with)
+                for conj in conjugates]
+    scans = [(0, 0, (), 0, False)] + [
+        (0, col, (conj,), target, fill) for fill in (True, False)
+        for col, conj, target in reversed(initial)]
+    # Each round empties both stacks, then makes one definition.
     alpha = 0
     while True:
         # Only the source coset of a deduction is scanned: a relator cycle
         # that crosses the edge backwards is a cycle of a conjugate of r^-1
         # crossing it forwards.  Each conjugate is traced forwards from c,
         # then backwards; a gap of one letter is a deduction, a gap of two a
-        # preferred definition.  Labels are read only when the scan closes or
-        # deduces.
-        while deductions:
-            c, col = deductions.pop()
-            if parent[c] != c:
-                continue
-            for tail, inverse, last, paths in starting_with[col]:
+        # preferred definition, unless the scan fills.  Labels are read only
+        # when the scan closes or deduces.
+        while deductions or scans:
+            if scans:
+                c, col, conjugates, target, fill = scans.pop()
+            else:
+                c, col = deductions.pop()
+                if parent[c] != c:
+                    continue
+                conjugates = starting_with[col]
+            for tail, inverse, i, last, paths in conjugates:
                 # the first letter is the edge (c, col), which a coincidence
                 # may have undone
-                f, i = table[c][col], 1
+                f = table[c][col]
                 if f == UNDEF:
-                    f, i = c, 0
+                    f, i = c, i - 1
                 else:
                     for x in tail:
                         nxt = table[f][x]
@@ -371,7 +358,8 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
                         i += 1
                     else:
                         if f != c:
-                            coincidence(f, c, gap_label(c, (col,) + tail, 0))
+                            coincidence(f, c, gap_label(c, (col,) + tail,
+                                                        target))
                             if parent[c] != c:
                                 break
                         continue
@@ -384,12 +372,12 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
                     j -= 1
                 else:
                     coincidence(f, b, gap_label(
-                        b, (inverse[i] ^ 1,) + paths[i], 0))
+                        b, (inverse[i] ^ 1,) + paths[i], target))
                     if parent[c] != c:
                         break
                     continue
                 if j == i:
-                    # join(f, x, b, gap_label(b, paths[i], 0)), inlined:
+                    # join(f, x, b, gap_label(b, paths[i], target)), inlined:
                     # deductions are the one frequent outcome of a scan
                     x = inverse[i] ^ 1
                     table[f][x] = b
@@ -398,9 +386,9 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
                     path = paths[i]
                     # a labelled edge has both ends labelled, so a path of
                     # at most two edges is unlabelled when its ends are
-                    if labels and (len(path) > 2 or b in labels
-                                   or f in labels):
-                        k, g = 0, b
+                    if target or labels and (len(path) > 2 or b in labels
+                                             or f in labels):
+                        k, g = target, b
                         for y in path:
                             if g in labels:
                                 k -= labels[g][y]
@@ -408,6 +396,9 @@ def _felsch(n_gens: int, relators, subgroup_words, max_cosets: int):
                         if k:
                             labels.setdefault(f, [0] * ncols)[x] = k
                             labels.setdefault(b, [0] * ncols)[x ^ 1] = -k
+                elif fill:
+                    define(f, inverse[i] ^ 1)
+                    scans.append((c, col, conjugates, target, fill))
                 elif j == i + 1:
                     preferred.append((f, inverse[i] ^ 1))
 
@@ -506,7 +497,7 @@ def _regular(pres: Presentation, max_cosets: int):
     if ab.rank or prod(ab.torsion) > max_cosets:
         raise CosetOverflow(max_cosets)
     w = tuple(range(1, pres.rank + 1))
-    live, step = _felsch(pres.rank, pres.relators, (w,), max_cosets)
+    live, step = _felsch(pres.rank, pres.relators, ((w, 1),), max_cosets)
     edges = {c: [step(c, col) for col in range(2 * pres.rank)] for c in live}
 
     def label_sum(c, cols):
@@ -548,7 +539,8 @@ def todd_coxeter(pres: Presentation, subgroup: SubgroupSpec | None = None,
     if subgroup.is_trivial_subgroup():
         action, inverse = _regular(pres, max_cosets)
     else:
-        _, step = _felsch(pres.rank, pres.relators, subgroup.words, max_cosets)
+        _, step = _felsch(pres.rank, pres.relators,
+                          [(w, 0) for w in subgroup.words], max_cosets)
         action, inverse = _standard(pres.rank, 0,
                                     lambda c, col: step(c, col)[0])
     return CosetTable(pres.rank, action, inverse, subgroup)

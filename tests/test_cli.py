@@ -684,6 +684,61 @@ class TestDeterminismAndJson:
         assert "projective quotient (infinity meridian added): order 320" in out.stdout
 
 
+class TestPipelineOnMonodromyFiles:
+    """`pipeline --preset FILE` agrees with the subcommands run one by one:
+    the projective abelianization and the finite-orbifold verdict are those
+    of the projective group, whose order the pipeline prints."""
+
+    FILES = {
+        # the meridian^5 quotient has abelianization Z/5, the projective one
+        # Z/6 and (2,2,3) survives there
+        "six-lines": "strands 6;\nbraid a: s1;\nbraid b: s2;\nbraid c: s3;\n"
+                     "braid d: s4;\nbraid e: s5;\n"
+                     "infinity: (g6*g5*g4*g3*g2*g1)^-1;\n",
+        "conic": "strands 2;\nbraid a: s1;\nbraid b: s1;\n"
+                 "infinity: (g2*g1)^-1;\n",
+    }
+
+    @staticmethod
+    def output(capsys, *argv):
+        cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    def projective_group(self, capsys, tmp_path, name):
+        braid = tmp_path / f"{name}.braid"
+        braid.write_text(self.FILES[name])
+        grp = tmp_path / f"{name}.grp"
+        grp.write_text(self.output(capsys, "zvk", str(braid), "--projective"))
+        return str(braid), str(grp)
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_text(self, capsys, tmp_path, name):
+        braid, grp = self.projective_group(capsys, tmp_path, name)
+        ab = self.output(capsys, "abelianize", grp).strip()
+        lines = self.output(capsys, "pipeline", "--preset", braid).splitlines()
+        order = [line.split()[-1] for line in lines
+                 if line.startswith("projective quotient")]
+        assert f"projective abelianization: {ab}" in lines
+        verdict = self.output(capsys, "obstruct", "--finite", *order,
+                              "--ab", ab).splitlines()[0]
+        assert verdict.replace("verdict:", "finite-orbifold obstruction for"
+                               " the projective group:") == lines[-1]
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_json(self, capsys, tmp_path, name):
+        braid, grp = self.projective_group(capsys, tmp_path, name)
+        ab = json.loads(self.output(capsys, "--json", "abelianize", grp))
+        doc = json.loads(self.output(capsys, "--json", "pipeline",
+                                     "--preset", braid))
+        assert doc["projective_abelianization"] == ab["display"]
+        finite = json.loads(self.output(
+            capsys, "--json", "obstruct", "--finite",
+            str(doc["projective_order"]), "--ab", ab["display"]))
+        assert doc["finite_obstruction"] == finite["verdict"]
+
+
 class TestLcsOfDenseRelators:
     """Trivial groups whose exponent matrices have large integer kernel
     vectors: the class-3 quotients arrive, and all three are trivial."""

@@ -2,9 +2,11 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import meridian.cosets
 import reference_cosets
+import reference_felsch
 from reference_epimorphisms import closure
 from meridian.abelian import AbelianGroup, abelianization, quotient_invariants
 from meridian.cli import parse_subgroup_spec
@@ -412,6 +414,60 @@ def test_trivial_subgroup_through_cyclic_subgroup(case):
     w = tuple(range(1, pres.rank + 1))
     cyclic = todd_coxeter(pres, SubgroupSpec.from_words([w]))
     assert cyclic.index * _order_of_w(table) == table.index
+
+
+def _felsch_steps(pres, subgroup):
+    """What step(c, col) of the enumeration behind todd_coxeter returns, for
+    every live coset c and column col."""
+    enumerate_cosets, enumerations = meridian.cosets._felsch, []
+
+    def recorded(*args):
+        enumerations.append(enumerate_cosets(*args))
+        return enumerations[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meridian.cosets, "_felsch", recorded)
+        todd_coxeter(pres, subgroup)
+    [(live, step)] = enumerations
+    return [step(c, col) for c in live for col in range(2 * pres.rank)]
+
+
+@pytest.mark.parametrize("spec", ["x", "x*y"])
+def test_word_mode_stores_no_labels(presets, spec):
+    pres = presets["degtyarev-projective"]
+    words = parse_words(spec, {"x": 1, "y": 2})
+    steps = _felsch_steps(pres, SubgroupSpec.from_words(words))
+    assert all(label == 0 for _, label in steps)
+
+
+@settings(max_examples=100)
+@given(finite_enumerations())
+def test_word_mode_stores_no_labels_on_random_subgroups(case):
+    pres, subgroup = case
+    assume(subgroup is not None and not subgroup.is_trivial_subgroup())
+    assert all(label == 0 for _, label in _felsch_steps(pres, subgroup))
+
+
+@settings(max_examples=300)
+@given(finite_enumerations())
+def test_rows_as_in_reference_felsch(case):
+    """The enumeration needs as many table rows as the Felsch pass it
+    replaced: a cap of that many passes and one less overflows.  The
+    trivial subgroup goes through <g1*...*gn>, so its cap must also hold
+    the order."""
+    pres, subgroup = case
+    if subgroup is None or subgroup.is_trivial_subgroup():
+        words = [tuple(range(1, pres.rank + 1))]
+        order = len(reference_cosets.todd_coxeter(pres, subgroup)[0][0])
+    else:
+        words, order = subgroup.words, 1
+    rows = max(order, reference_felsch.felsch(pres.rank, pres.relators, words,
+                                              10 ** 6)[2])
+    table = todd_coxeter(pres, subgroup, max_cosets=rows)
+    assert check_table(pres, table)
+    if rows > 1:
+        with pytest.raises(CosetOverflow):
+            todd_coxeter(pres, subgroup, max_cosets=rows - 1)
 
 
 @pytest.mark.parametrize("text, order", [
