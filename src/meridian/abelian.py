@@ -1,8 +1,8 @@
 """Integer matrix Smith normal form and abelian invariants of presentations.
 
 Matrices are plain lists of lists of Python ints, so all arithmetic is
-arbitrary precision.  One Hermite echelon, ``_echelon``, brings rows to
-Hermite normal form without a transform, and serves two callers:
+arbitrary precision.  One Hermite echelon, ``hermite_basis``, brings rows
+to Hermite normal form without a transform, and serves three callers:
 
 - ``quotient_invariants`` returns only rank and torsion of Z^n modulo the
   span of the rows, with a Smith form of the residual block alone.  It
@@ -13,6 +13,9 @@ Hermite normal form without a transform, and serves two callers:
   invariants of ``cosets.abelian_invariants_of_subset``.
 - ``integer_row_kernel`` reads a basis of { x : x M = 0 } off the echelon of
   [M | I].
+- ``nilpotent.lcs_quotients`` echelons the degree-2 and degree-3 rows of
+  its closure generators together, and splits the basis at the degree-2
+  columns.
 
 ``smith_normal_form`` carries the column transform V, and exists for
 coordinates: ``abelianization`` reads V to express generators in the
@@ -207,7 +210,8 @@ def _reduce_above(basis: dict[int, list[int]], low: int) -> None:
         basis[p] = row
 
 
-def _echelon(rows: Iterable[Sequence[int]], dim: int) -> dict[int, list[int]]:
+def hermite_basis(rows: Iterable[Sequence[int]],
+                  dim: int) -> dict[int, list[int]]:
     """Hermite normal form of the span of the rows: pivot column -> row.
 
     The rows enter one at a time into an echelon basis with positive pivots.
@@ -253,7 +257,7 @@ def quotient_invariants(rows: Iterable[Sequence[int]], dim: int) -> AbelianGroup
     column split off a trivial summand, and only the rows with larger pivots
     go to ``smith_normal_form``.
     """
-    basis = _echelon(rows, dim)
+    basis = hermite_basis(rows, dim)
     rest = [c for c in range(dim) if c not in basis or basis[c][c] > 1]
     matrix = [[row[c] for c in rest] for p, row in basis.items()
               if row[p] > 1]
@@ -271,8 +275,8 @@ def integer_row_kernel(matrix: IntMatrix) -> IntMatrix:
     if not matrix:
         return []
     cols, n = len(matrix[0]), len(matrix)
-    basis = _echelon((row + [int(i == j) for j in range(n)]
-                      for i, row in enumerate(matrix)), cols + n)
+    basis = hermite_basis((row + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(matrix)), cols + n)
     return [basis[p][cols:] for p in sorted(basis) if p >= cols]
 
 

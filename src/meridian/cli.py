@@ -505,10 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
-        p.add_argument("file", nargs="?", help="presentation file")
-        p.add_argument("--preset", choices=PRESENTATION_PRESETS)
-        p.add_argument("--orbifold", metavar="SIG",
-                       help="orbifold signature, e.g. 'g=0 k=0 m=2,5,10'")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("file", nargs="?", help="presentation file")
+        source.add_argument("--preset", choices=PRESENTATION_PRESETS)
+        source.add_argument("--orbifold", metavar="SIG",
+                            help="orbifold signature, e.g. 'g=0 k=0 m=2,5,10'")
 
     p = sub.add_parser("zvk", help="presentation from braid monodromy")
     p.add_argument("monodromy", help="monodromy file or preset name"

@@ -15,19 +15,32 @@ degree-1 part the map w -> (D2(w), D3(w)) is a homomorphism into an abelian
 group, which turns the computation of J_2 and J_3 into integer linear
 algebra over an explicit generating set of the normal closure:
 
-    w1[i,j]   = (r_i ^ g_j) r_i^-1                    (degree >= 2)
-    w2[i,j,k] = (w1[i,j] ^ g_k) w1[i,j]^-1            (degree >= 3)
-    w3[i,j,k] = (r_i ^ [g_j,g_k]) r_i^-1              (degree >= 3)
-    P_c       = prod r_i^(c_i), c a kernel vector of the exponent matrix
+    w1[i,j] = (r_i ^ g_j) r_i^-1                      (degree >= 2)
+    P_c     = prod r_i^(c_i), c a kernel vector of the exponent matrix
+    w2[z,k] = (z ^ g_k) z^-1, z a w1 or a P_c         (degree >= 3)
 
 J_2 is spanned by the degree-2 parts; J_3 by the degree-3 parts of integer
 combinations whose degree-2 parts cancel.  The free-group, Z^2 and
-surface-group oracles in the test suite pin this construction down.
+surface-group oracles in the test suite pin this construction down.  The
+conjugates (r_i ^ [g_j,g_k]) r_i^-1 lie in gamma_3 as well but add nothing:
+by the Jacobi identity their degree-3 part [[X_j,X_k], rho_i] is
+[X_j, D2(w1[i,k])] - [X_k, D2(w1[i,j])], a difference of two w2 parts.
+
+Both come from one Hermite echelon.  A closure generator is the row
+(D2 in Hall coordinates | D3 read at the lead monomials of ``_lie3_leads``),
+a degree-3 generator the row (0 | its lead coordinates).  The basis rows
+with a pivot among the degree-2 columns span J_2; the others are zero there
+and span J_3.  The D2 parts are Lie, and Hall coordinates are injective on
+them, so the lower block holds the degree-3 parts of exactly the
+combinations whose D2 cancels; on L_3, reading coefficients at the lead
+monomials is a triangular change of basis with +-1 on the diagonal, which
+changes no invariant.
 
 The expansion is a homomorphism, so every closure generator is evaluated in
 the truncated ring from the images of the relators, each expanded once, and
-never spelled out as a word: a power r^c costs the bits of c, not |c|
-letters.  Both integer kernels come from ``abelian.integer_row_kernel``.
+never spelled out as a word: a power r^c is one binomial series, whatever
+the size of c.  The kernel vectors c come from
+``abelian.integer_row_kernel``, the echelon from ``abelian.hermite_basis``.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ from functools import lru_cache
 from .abelian import (
     AbelianGroup,
     exponent_matrix,
+    hermite_basis,
     integer_row_kernel,
     quotient_invariants,
 )
@@ -123,36 +137,26 @@ class Trunc3:
                 _bump(d3, ij + (k,), a * b)
         return Trunc3(self.n, d1, d2, d3)
 
-    def inverse(self) -> "Trunc3":
-        # (1 + u)^-1 = 1 - u + u^2 - u^3 truncated in degree 4
-        d1 = {i: -c for i, c in self.d1.items()}
-        d2 = {ij: -c for ij, c in self.d2.items()}
-        for i, a in self.d1.items():
-            for j, b in self.d1.items():
-                _bump(d2, (i, j), a * b)
-        d3 = {ijk: -c for ijk, c in self.d3.items()}
-        for i, a in self.d1.items():
-            for jk, b in self.d2.items():
-                _bump(d3, (i,) + jk, a * b)
-        for ij, a in self.d2.items():
-            for k, b in self.d1.items():
-                _bump(d3, ij + (k,), a * b)
-        for i, a in self.d1.items():
-            for j, b in self.d1.items():
-                for k, c in self.d1.items():
-                    _bump(d3, (i, j, k), -a * b * c)
-        return Trunc3(self.n, _clean(d1), _clean(d2), _clean(d3))
-
     def power(self, e: int) -> "Trunc3":
-        """self^e by repeated squaring: it costs the bits of e, not |e|."""
-        if e < 0:
-            return self.inverse().power(-e)
-        out, base = Trunc3.one(self.n), self
-        while e:
-            if e & 1:
-                out = out.mul(base)
-            base, e = base.mul(base), e >> 1
-        return out
+        """self^e = 1 + e u + C(e,2) u^2 + C(e,3) u^3 for u = self - 1.
+
+        The binomial series truncated in degree 4 holds for every integer e,
+        negative ones included, where C(e, k) = e(e-1)...(e-k+1)/k! is still
+        an integer; it costs one pass over the parts, whatever the size of e.
+        """
+        c2, c3 = e * (e - 1) // 2, e * (e - 1) * (e - 2) // 6
+        d1 = {i: e * a for i, a in self.d1.items()}
+        d2 = {ij: e * a for ij, a in self.d2.items()}
+        d3 = {ijk: e * a for ijk, a in self.d3.items()}
+        for i, a in self.d1.items():
+            for j, b in self.d1.items():
+                _bump(d2, (i, j), c2 * a * b)
+                for k, c in self.d1.items():
+                    _bump(d3, (i, j, k), c3 * a * b * c)
+            for jk, b in self.d2.items():
+                _bump(d3, (i,) + jk, c2 * a * b)
+                _bump(d3, jk + (i,), c2 * a * b)
+        return Trunc3(self.n, _clean(d1), _clean(d2), _clean(d3))
 
 
 def _bump(d, key, c):
@@ -208,9 +212,10 @@ def _lie3_leads(n: int):
 
     For [[e_i,e_j],e_k] (i > j, k >= j) the largest of its monomials is
     (i,j,k) with coefficient 1 when k < i, (k,i,j) with coefficient -1 when
-    k > i, and (i,i,j) with coefficient -1 when k = i; these lead monomials
-    are pairwise distinct, so peeling the current largest monomial solves the
-    coordinate problem triangularly, in integers since every lead is +-1.
+    k > i, and (i,i,j) with coefficient -1 when k = i.  These lead monomials
+    are pairwise distinct, so the coefficients of a Lie tensor at them are
+    its Hall coordinates under a triangular change of basis with +-1 on the
+    diagonal, unimodular over Z.
     """
     leads = {}
     for idx, triple in enumerate(HallBasis(n).degree3):
@@ -218,25 +223,6 @@ def _lie3_leads(n: int):
         lead = max(tensor)
         leads[lead] = (idx, tensor[lead], tensor)
     return leads
-
-
-def _lie3_coords(d3: dict, n: int) -> list[int]:
-    """Coordinates of a degree-3 Lie tensor in the Hall basis."""
-    leads = _lie3_leads(n)
-    acc = {m: c for m, c in d3.items() if c}
-    coords = [0] * free_lie_ranks(n, 3)
-    while acc:
-        m = max(acc)
-        if m not in leads:
-            raise ArithmeticError("degree-3 part is not a Lie element")
-        idx, lead_coeff, tensor = leads[m]
-        f, rem = divmod(acc[m], lead_coeff)
-        if rem:
-            raise ArithmeticError("non-integral Hall coordinates")
-        coords[idx] += f
-        for mono, c in tensor.items():
-            _bump(acc, mono, -f * c)
-    return coords
 
 
 # --- relation lattices ------------------------------------------------------------
@@ -276,7 +262,7 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
     # the image of a word is the product of the images of its letters.
     closure: list[Trunc3] = []
     for rel in relators:
-        rel_inv = rel.inverse()
+        rel_inv = rel.power(-1)
         for i in range(1, n + 1):
             g, g_inv = Trunc3.generator(n, i), Trunc3.generator(n, -i)
             closure.append(g.mul(rel).mul(g_inv).mul(rel_inv))
@@ -288,67 +274,37 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
         closure.append(prod)
 
     dim2 = free_lie_ranks(n, 2)
-    dim3 = free_lie_ranks(n, 3)
-    rows2: list[list[int]] = []
-    rows3_direct: list[list[int]] = []   # degree-3 parts of rows with D2 = 0
-    pending: list[tuple[list[int], dict]] = []   # (D2 coords, raw D3 tensor)
-    w1_tensors: list[dict] = []
-    for elt in closure:
-        if _clean(elt.d1):
-            raise ArithmeticError("closure generator has nonzero abelianization")
-        d2 = _clean(elt.d2)
-        coords2 = _lie2_coords(d2, basis)
-        d3 = _clean(elt.d3)
-        w1_tensors.append(d2)
-        if any(coords2):
-            rows2.append(coords2)
-            pending.append((coords2, d3))
-        elif d3:
-            rows3_direct.append(_lie3_coords(d3, n))
+    leads = list(_lie3_leads(n)) if max_class == 3 else []
 
-    gr2 = quotient_invariants(rows2, dim2)
-    if max_class == 2:
-        return GradedQuotient((out[0], gr2))
+    def at_leads(tensor: dict) -> list[int]:
+        return [tensor.get(m, 0) for m in leads]
 
-    def rows3():
-        yield from rows3_direct
-        # Degree-3 closure generators are commutators of the above against
-        # the generators, [g_k, z], and of relators against basic degree-2
-        # words, [[g_i,g_j], r]; their expansions are the plain tensor
-        # commutators of the leading parts, everything higher landing in
-        # degree 4.
-        for d2 in w1_tensors:
-            if not d2:
-                continue
-            for k in range(1, n + 1):
-                bracket: dict = {}
-                for mono, c in d2.items():
-                    _bump(bracket, (k,) + mono, c)
-                    _bump(bracket, mono + (k,), -c)
-                if bracket:
-                    yield _lie3_coords(bracket, n)
-        for rel in relators:
-            rho = _clean(rel.d1)
-            if not rho:
-                continue
-            for (i, j) in basis.degree2:
-                bracket = {}
-                for sign, pair in ((1, (i, j)), (-1, (j, i))):
-                    for k, c in rho.items():
-                        _bump(bracket, pair + (k,), sign * c)
-                        _bump(bracket, (k,) + pair, -sign * c)
-                if bracket:
-                    yield _lie3_coords(bracket, n)
-        if pending:
-            kernel = integer_row_kernel([p[0] for p in pending])
-            for kv in kernel:
-                acc: dict = {}
-                for c, (_, d3) in zip(kv, pending):
-                    if c:
-                        for m, v in d3.items():
-                            _bump(acc, m, c * v)
-                if acc:
-                    yield _lie3_coords(acc, n)
+    def rows():
+        # The degree-3 part of w2[z,k] is the plain tensor commutator
+        # [X_k, D2(z)], everything higher landing in degree 4.  These rows
+        # come first: the echelon then spends less time reducing above the
+        # degree-3 pivots.
+        if max_class == 3:
+            for elt in closure:
+                if not elt.d2:
+                    continue
+                for k in range(1, n + 1):
+                    bracket = {}
+                    for mono, c in elt.d2.items():
+                        _bump(bracket, (k,) + mono, c)
+                        _bump(bracket, mono + (k,), -c)
+                    yield [0] * dim2 + at_leads(bracket)
+        for elt in closure:
+            if elt.d1:
+                raise ArithmeticError(
+                    "closure generator has nonzero abelianization")
+            yield _lie2_coords(elt.d2, basis) + at_leads(elt.d3)
 
-    gr3 = quotient_invariants(rows3(), dim3)
-    return GradedQuotient((out[0], gr2, gr3))
+    # Rows with a pivot among the degree-2 columns span J_2; the others are
+    # zero there and span J_3 in lead coordinates (module docstring).
+    echelon = hermite_basis(rows(), dim2 + len(leads))
+    upper = [row[:dim2] for p, row in echelon.items() if p < dim2]
+    lower = [row[dim2:] for p, row in echelon.items() if p >= dim2]
+    graded = (out[0], quotient_invariants(upper, dim2),
+              quotient_invariants(lower, len(leads)))
+    return GradedQuotient(graded[:max_class])

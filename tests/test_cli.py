@@ -392,7 +392,21 @@ class TestInputBoundary:
         assert out.stdout == ("gens g1 g2 g3;\nrel g2*g1*g2*g1^-1*g2^-1*g1^-1;\n"
                               "rel g3*g2*g3^-1*g2^-1;\n")
 
-    @pytest.mark.parametrize("fault", [ValueError, KeyError, ZeroDivisionError])
+    @pytest.mark.parametrize("args,message", [
+        (("order", "--orbifold", "g=0 k=0 m=2,3,5", "--preset", "free2"),
+         "argument --preset: not allowed with argument --orbifold"),
+        (("abelianize", "--preset", "c-2-3", "other.grp"),
+         "argument file: not allowed with argument --preset"),
+        (("lcs", "other.grp", "--orbifold", "g=0 k=0 m=2,5,10"),
+         "argument --orbifold: not allowed with argument file"),
+    ])
+    def test_two_presentation_sources_are_exit_two(self, args, message):
+        # one source is used, and a second one is not silently dropped
+        out = run(*args)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.endswith(f": error: {message}\n")
+
+    @pytest.mark.parametrize("fault",[ValueError, KeyError, ZeroDivisionError])
     def test_internal_faults_are_not_input_errors(self, monkeypatch, capsys,
                                                   fault):
         def broken(pres):

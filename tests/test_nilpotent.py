@@ -17,13 +17,13 @@ from meridian.nilpotent import (
     HallBasis,
     _bracket_tensor3,
     _clean,
-    _lie3_coords,
     _lie3_leads,
     free_lie_ranks,
     lcs_quotients,
     magnus,
 )
 from conftest import random_presentation, random_word
+import reference_lcs
 
 
 class TestWittNumbers:
@@ -54,7 +54,7 @@ class TestMagnus:
         for _ in range(200):
             w = random_word(rng, 3)
             m = magnus(3, w)
-            for one in (m.mul(m.inverse()), m.inverse().mul(m)):
+            for one in (m.mul(m.power(-1)), m.power(-1).mul(m)):
                 assert not any(c for part in (one.d1, one.d2, one.d3)
                                for c in part.values())
 
@@ -101,7 +101,7 @@ class TestMagnus:
                     for mono, v in _bracket_tensor3(triple).items():
                         tensor[mono] = tensor.get(mono, 0) + c * v
                 tensor = {m: v for m, v in tensor.items() if v}
-                assert _lie3_coords(tensor, n) == coeffs
+                assert reference_lcs._lie3_coords(tensor, n) == coeffs
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_lie3_leads_are_units(self, n):
@@ -111,7 +111,7 @@ class TestMagnus:
 
     def test_non_lie_tensor_rejected(self):
         with pytest.raises(ArithmeticError):
-            _lie3_coords({(1, 1, 1): 1}, 2)
+            reference_lcs._lie3_coords({(1, 1, 1): 1}, 2)
 
 
 class TestLcsQuotients:
@@ -206,3 +206,13 @@ def test_cyclic_abelianization_kills_higher_quotients(pres):
     d1 = q.degree(1)
     if d1.rank + len(d1.torsion) <= 1:
         assert q.degree(2) == q.degree(3) == AbelianGroup(0, ())
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.randoms().map(random_presentation),
+                 syllable_presentations()))
+def test_matches_reference_route(pres):
+    # the kernel of [D2 | I], recombined, with every degree-3 tensor checked
+    # to be a Lie element, against one echelon read at the lead monomials
+    for c in (2, 3):
+        assert lcs_quotients(pres, c) == reference_lcs.lcs_quotients(pres, c)
