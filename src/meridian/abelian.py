@@ -14,8 +14,9 @@ to Hermite normal form without a transform, and serves three callers:
 - ``integer_row_kernel`` reads a basis of { x : x M = 0 } off the echelon of
   [M | I].
 - ``nilpotent.lcs_quotients`` echelons the degree-2 and degree-3 rows of
-  its closure generators together, and splits the basis at the degree-2
-  columns.
+  its closure generators together, splits the basis at the degree-2
+  columns, and hands each block, a Hermite basis already, to
+  ``hermite_invariants``, the Smith step of ``quotient_invariants``.
 
 ``smith_normal_form`` carries the column transform V, and exists for
 coordinates: ``abelianization`` reads V to express generators in the
@@ -251,13 +252,18 @@ def hermite_basis(rows: Iterable[Sequence[int]],
 
 
 def quotient_invariants(rows: Iterable[Sequence[int]], dim: int) -> AbelianGroup:
-    """Rank and torsion of Z^dim modulo the span of the rows, no transforms.
+    """Rank and torsion of Z^dim modulo the span of the rows, no transforms."""
+    return hermite_invariants(hermite_basis(rows, dim), dim)
 
-    In the Hermite basis a pivot of 1 is alone in its column, so its row and
-    column split off a trivial summand, and only the rows with larger pivots
-    go to ``smith_normal_form``.
+
+def hermite_invariants(basis: dict[int, list[int]], dim: int) -> AbelianGroup:
+    """Rank and torsion of Z^dim modulo a lattice given by its Hermite basis
+    (pivot column -> row, as ``hermite_basis`` returns it).
+
+    A pivot of 1 is alone in its column, so its row and column split off a
+    trivial summand, and only the rows with larger pivots go to
+    ``smith_normal_form``.
     """
-    basis = hermite_basis(rows, dim)
     rest = [c for c in range(dim) if c not in basis or basis[c][c] > 1]
     matrix = [[row[c] for c in rest] for p, row in basis.items()
               if row[p] > 1]

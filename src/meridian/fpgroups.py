@@ -107,7 +107,7 @@ def _least_rotation(w: Word) -> Word:
 
     Only rotations that start with the least letter can be the minimum, so
     only those are sliced out of the doubled word.  Tietze simplification
-    keys its str words with ``_key`` instead.
+    compares its str words with ``_class_of`` instead.
     """
     n = len(w)
     first = min(w)
@@ -447,46 +447,18 @@ def _cyclic(s: str, inv: str) -> str:
     return s[k:len(s) - k]
 
 
-def _rotation(s: str, first: str) -> str:
-    """Least rotation of s, whose least letter is ``first``: only rotations
-    that start with it can be least, and str.find visits them in order."""
-    i = s.find(first)
-    j = s.find(first, i + 1)
-    if j < 0:
-        return s[i:] + s[:i]
-    n = len(s)
-    doubled = s + s
-    least = doubled[i:i + n]
-    while j >= 0:
-        rot = doubled[j:j + n]
-        if rot < least:
-            least = rot
-        j = s.find(first, j + 1)
-    return least
+def _class_of(w: str, w_inv: str, words) -> str | None:
+    """The first of ``words``, all of the length of w, in the
+    rotation/inversion class of w (``_relator_key`` equality), or None.
 
-
-def _key(s: str, inv: str) -> str:
-    """_relator_key of a str word.
-
-    The least rotation of s starts with min(s) and that of s^-1 with the
-    inverse of max(s), so the one with the smaller start is the key, and
-    both are rotated only when their starts tie.
+    w is a rotation of u exactly when it occurs in u + u, and a rotation of
+    u^-1 exactly when w^-1 (``w_inv``) does.
     """
-    if not s:
-        return s
-    lo, hi = min(s), inv[ord(max(s))]
-    if lo < hi:
-        return _rotation(s, lo)
-    key = _rotation(_invert(s, inv), hi)
-    return key if hi < lo else min(_rotation(s, lo), key)
-
-
-def _entry_key(entry, inv: str) -> str:
-    """The key of a memo entry ``[word, key or None]``, computed once."""
-    key = entry[1]
-    if key is None:
-        key = entry[1] = _key(entry[0], inv)
-    return key
+    for u in words:
+        doubled = u + u
+        if w in doubled or w_inv in doubled:
+            return u
+    return None
 
 
 def _substitute(word: str, gen: str, image: str, image_inv: str,
@@ -544,25 +516,52 @@ def _try_shorten(target: str, shortening, inv: str) -> str | None:
     return _join(_join(target[:i], v, inv), target[i + half:], inv)
 
 
+class _Elimination:
+    """The elimination of generator ``g`` (its positive letter) by one
+    relator, which defines it as ``image`` (inverse ``image_inv``).
+
+    ``rewritten`` maps each relator with g that a total has needed to
+    ``(its rewrite, the rewrite's class)``, and the defining relator to
+    ``("", None)``.  A class is named by the first rewrite in it, and
+    ``classes[n]`` maps the classes of the length-n rewrites to the number
+    of rewrites in each.  A class counts unless a live relator is in it (no
+    relator with g is, for rewrites have no g), and ``extra`` sums the
+    lengths of the classes that count.  So the total after the elimination
+    is at least the length of the relators without g plus ``extra``, and
+    equal to it once every relator with g is rewritten.
+    """
+
+    __slots__ = ("g", "image", "image_inv", "rewritten", "classes", "extra")
+
+    def __init__(self, rel: str, signed: str, inv: str):
+        self.g = g = max(signed, inv[ord(signed)])
+        k = rel.index(signed)
+        rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
+        self.image = _invert(rest, inv) if signed == g else rest
+        self.image_inv = _invert(self.image, inv)
+        self.rewritten = {rel: ("", None)}
+        self.classes: dict[int, dict[str, int]] = {}
+        self.extra = 0
+
+
 class _Relators:
     """The relators of one Tietze simplification, indexed for its moves.
 
-    ``keys`` maps the relators, in order, to their keys, and ``at`` maps the
-    keys back.  ``occurs`` maps a generator (its positive letter) to the
-    relators that contain it, in the order they came, and their total
-    length; ``lengths`` counts the relators of each length, and ``whole`` is
-    the total length.  A move hands ``replace`` the new relators, and only
-    those it removes or adds are indexed or forgotten.
+    ``relators`` holds the relators in order (as the keys of a dict), and
+    ``lengths`` maps each length to the relators of that length, against
+    which ``_class_of`` tests a word of that length.  ``occurs`` maps a
+    generator (its positive letter) to the relators that contain it, in the
+    order they came, and their total length; ``whole`` is the total length.
+    A move hands ``replace`` the new relators, and only those it removes or
+    adds are indexed or forgotten.
 
     The memos, keyed by live relators only:
-    - ``substituted[rel][signed]``: the elimination of the letter ``signed``
-      by ``rel`` as (generator, image, inverse image, rewritten), where
-      ``rewritten`` maps each relator r with the generator that a candidate
-      total has needed to ``[r rewritten, its key or None]``, and rel to an
-      empty word.  The key waits until a word of the same length is there
-      for it to repeat.
+    - ``substituted[rel][signed]``: the ``_Elimination`` of the letter
+      ``signed`` by ``rel``, whose ``extra`` ``replace`` keeps exact;
+    - ``uncounted``: the (elimination, class) pairs whose class does not
+      count, and ``twins[r]`` those of them that the relator r is in;
     - ``tables[rule]``: the ``_shortening_table`` of a rule;
-    - ``failed[rule]``: the relators that the rule does not shorten;
+    - ``untried[rule]``: the relators the rule has not yet been tried on;
     - ``isolated[rel]``: the letters that occur in rel only once.
     """
 
@@ -570,52 +569,69 @@ class _Relators:
         self.inv = inv
         # fold[ord(c)] is the positive letter of c
         self.fold = "".join(map(max, inv, map(chr, range(len(inv)))))
-        self.keys: dict[str, str] = {}
-        self.at: dict[str, str] = {}
+        self.relators: dict[str, None] = {}
+        self.lengths: dict[int, dict[str, None]] = {}
         self.occurs: dict[str, list] = {}
-        self.lengths: dict[int, int] = {}
         self.whole = 0
-        self.substituted: dict[str, dict] = {}
+        self.substituted: dict[str, dict[str, _Elimination]] = {}
+        self.uncounted: set[tuple[_Elimination, str]] = set()
+        self.twins: dict[str, list] = {}
         self.tables: dict[str, tuple] = {}
-        self.failed: dict[str, set] = {}
+        self.untried: dict[str, set] = {}
         self.isolated: dict[str, list] = {}
         # reduced and deduplicated already
-        self.replace({r: _key(r, inv) for r in relators})
+        self.replace(dict.fromkeys(relators))
 
-    def replace(self, new: dict[str, str]) -> None:
-        """Make ``new`` (relator -> key, in order) the relators."""
-        old = self.keys
+    def replace(self, new: dict[str, None]) -> None:
+        """Make the keys of ``new``, in order, the relators."""
+        old = self.relators
         dead = [r for r in old if r not in new]
+        added = [r for r in new if r not in old]
         for r in dead:
-            self._index(r, old[r], -1)
-        for r, k in new.items():
-            if r not in old:
-                self._index(r, k, 1)
-        self.keys = new
-        for memo in (self.substituted, self.tables, self.failed,
-                     self.isolated):
-            for r in dead:
+            self._index(r, -1)
+        self.relators = new
+        for r in added:
+            self._index(r, 1)
+        for r in dead:
+            for memo in (self.substituted, self.tables, self.untried,
+                         self.isolated):
                 memo.pop(r, None)
-        for targets in self.failed.values():
-            targets.difference_update(dead)
+        for untried in self.untried.values():
+            untried.difference_update(dead)
+            untried.update(added)
+        # The class of a dead relator counts again, unless it is gone, and
+        # that of an added one no longer does; a move may do both to one.
+        uncounted = self.uncounted
+        for r in dead:
+            for pair in self.twins.pop(r, ()):
+                if pair in uncounted:
+                    uncounted.remove(pair)
+                    pair[0].extra += len(r)
+        inv = self.inv
+        fresh = [(len(r), r, _invert(r, inv)) for r in added]
         for by_letter in self.substituted.values():
             for elimination in by_letter.values():
+                rewritten, classes = elimination.rewritten, elimination.classes
                 for r in dead:
-                    elimination[3].pop(r, None)
+                    if r in rewritten:
+                        self._drop(elimination, r)
+                for n, r, r_inv in fresh:
+                    at = classes.get(n)
+                    d = at and _class_of(r, r_inv, at)
+                    if d:
+                        self._twin(elimination, d, r)
 
-    def _index(self, r: str, key: str, sign: int) -> None:
+    def _index(self, r: str, sign: int) -> None:
         """Add relator r to the index (sign 1) or remove it (sign -1)."""
         n = len(r)
         self.whole += sign * n
-        count = self.lengths.get(n, 0) + sign
-        if count:
-            self.lengths[n] = count
-        else:
-            del self.lengths[n]
         if sign > 0:
-            self.at[key] = r
+            self.lengths.setdefault(n, {})[r] = None
         else:
-            del self.at[key]
+            same = self.lengths[n]
+            del same[r]
+            if not same:
+                del self.lengths[n]
         for g in set(r.translate(self.fold)):
             entry = self.occurs.setdefault(g, [{}, 0])
             if sign > 0:
@@ -625,6 +641,54 @@ class _Relators:
                 if not entry[0]:
                     del self.occurs[g]
             entry[1] += sign * n
+
+    def _rewrite(self, elimination: _Elimination, r: str) -> None:
+        """Rewrite relator r for an elimination, and count the rewrite's
+        class if it is new and no live relator is in it."""
+        inv = self.inv
+        w = _cyclic(_substitute(r, elimination.g, elimination.image,
+                                elimination.image_inv, inv), inv)
+        n = len(w)
+        if not n:
+            elimination.rewritten[r] = (w, None)
+            return
+        at = elimination.classes.setdefault(n, {})
+        same = self.lengths.get(n)
+        w_inv = _invert(w, inv) if at or same else ""
+        d = _class_of(w, w_inv, at)
+        if d:
+            at[d] += 1
+        else:
+            d = w
+            at[d] = 1
+            elimination.extra += n
+            twin = same and _class_of(w, w_inv, same)
+            if twin:
+                self._twin(elimination, d, twin)
+        elimination.rewritten[r] = (w, d)
+
+    def _drop(self, elimination: _Elimination, r: str) -> None:
+        """Forget an elimination's rewrite of the dead relator r."""
+        w, d = elimination.rewritten.pop(r)
+        if d:
+            n = len(w)
+            at = elimination.classes[n]
+            at[d] -= 1
+            if not at[d]:
+                del at[d]
+                if not at:
+                    del elimination.classes[n]
+                if (elimination, d) in self.uncounted:
+                    self.uncounted.remove((elimination, d))
+                else:
+                    elimination.extra -= n
+
+    def _twin(self, elimination: _Elimination, d: str, r: str) -> None:
+        """Stop counting the class d of an elimination, which the live
+        relator r is in, until r goes."""
+        self.uncounted.add((elimination, d))
+        elimination.extra -= len(r)
+        self.twins.setdefault(r, []).append((elimination, d))
 
     def candidates(self):
         """(relator, signed letter) pairs where the generator occurs once.
@@ -636,7 +700,7 @@ class _Relators:
         """
         fold = self.fold
         out = []
-        for ri, rel in enumerate(self.keys):
+        for ri, rel in enumerate(self.relators):
             letters = self.isolated.get(rel)
             if letters is None:
                 folded = rel.translate(fold)
@@ -647,20 +711,6 @@ class _Relators:
         out.sort()
         return [(rel, c) for _, _, _, c, rel in out]
 
-    def _elimination(self, rel: str, signed: str):
-        """The memo ``substituted[rel][signed]``, made on first use."""
-        by_letter = self.substituted.setdefault(rel, {})
-        elimination = by_letter.get(signed)
-        if elimination is None:
-            inv = self.inv
-            g = max(signed, inv[ord(signed)])
-            k = rel.index(signed)
-            rest = rel[k + 1:] + rel[:k]      # rel ~ signed * rest cyclically
-            image = _invert(rest, inv) if signed == g else rest
-            elimination = by_letter[signed] = (
-                g, image, _invert(image, inv), {rel: ("", "")})
-        return elimination
-
     def eliminate(self, candidates, limit, take_first: bool):
         """Eliminate a generator by one of the isolated ``candidates``.
 
@@ -669,102 +719,94 @@ class _Relators:
         ``take_first``), or the first of least total.  Returns
         ``(generator, relators)`` for ``replace``, or None.
 
-        A candidate's total starts from the relators without its generator,
-        whose keys are distinct; only those with it are rewritten, through
-        the memo ``substituted``.  A rewritten relator that repeats the key
-        of one without the generator is dropped: whichever of the two the
-        ordered list keeps, the total is the same.  Keys have the length of
-        their word, so a rewritten relator is keyed only when a relator or
-        an already counted word has its length.  Deduplication only drops
-        relators, so a candidate is rejected as soon as its total passes the
-        limit.  Only the winner's relators are rebuilt in order.
+        A candidate's total is that of the relators without its generator,
+        which are in distinct classes, plus one length for each class of the
+        rewrites of the relators with it that no relator without it is in:
+        whichever of two relators of one class the ordered list keeps, the
+        total is the same.  Its ``_Elimination`` sums the second part over
+        the rewrites it holds, so the total is at least the first part plus
+        ``extra``, and equal to it once every relator with the generator is
+        rewritten.  A candidate whose bound passes the limit is rejected
+        without a rewrite; otherwise its relators with the generator are
+        rewritten in order until the bound passes the limit or all are.
+        Only the winner's relators are rebuilt in order.
         """
-        inv, at, lengths = self.inv, self.at, self.lengths
         best = None
         for rel, signed in candidates:
-            g, image, image_inv, rewritten = self._elimination(rel, signed)
-            touched, length = self.occurs[g]
-            total = self.whole - length
-            new = set()         # keys of the words counted
-            unkeyed = {}        # length -> the word counted at it unkeyed
-            for r in touched:
-                if total > limit:
+            by_letter = self.substituted.setdefault(rel, {})
+            elimination = by_letter.get(signed)
+            if elimination is None:
+                elimination = by_letter[signed] = _Elimination(
+                    rel, signed, self.inv)
+            touched, length = self.occurs[elimination.g]
+            base = self.whole - length
+            rewritten = elimination.rewritten
+            if (base + elimination.extra <= limit
+                    and len(rewritten) < len(touched)):
+                for r in touched:
+                    if r not in rewritten:
+                        self._rewrite(elimination, r)
+                        if base + elimination.extra > limit:
+                            break
+            total = base + elimination.extra
+            if total <= limit and len(rewritten) == len(touched):
+                best = (elimination.g, touched, rewritten)
+                if take_first:
                     break
-                entry = rewritten.get(r)
-                if entry is None:
-                    entry = rewritten[r] = [_cyclic(_substitute(
-                        r, g, image, image_inv, inv), inv), None]
-                n = len(entry[0])
-                if not n:
-                    continue
-                if n not in lengths and n not in unkeyed:
-                    unkeyed[n] = entry
-                    total += n
-                    continue
-                key = entry[1] or _entry_key(entry, inv)
-                first = unkeyed.get(n)
-                if first:
-                    new.add(first[1] or _entry_key(first, inv))
-                    unkeyed[n] = None
-                # not counted if it repeats a counted word or a relator
-                # without g
-                other = at.get(key)
-                if key in new or other is not None and other not in touched:
-                    continue
-                new.add(key)
-                total += n
-            else:
-                if total <= limit:
-                    best = (g, touched, rewritten)
-                    if take_first:
-                        break
-                    limit = total - 1
+                limit = total - 1
         if best is None:
             return None
         g, touched, rewritten = best
-        return g, self._normalized(rewritten[r] if r in touched else (r, k)
-                                   for r, k in self.keys.items())
+        return g, self._normalized(rewritten[r][0] if r in touched else r
+                                   for r in self.relators)
 
     def shorten(self):
         """The first shortening of one relator by another, as ``(None,
         relators)`` for ``replace``, or None.
 
-        Rules are tried shortest first, targets in order.  The shortened
-        relator is cyclically reduced in place.  It is dropped if it is
-        empty; of two relators with one key, the later is dropped.
+        Rules are tried shortest first, targets in order, each pair once
+        while both live.  The shortened relator is cyclically reduced in
+        place.  It is dropped if it is empty; of two relators of one class,
+        the later is dropped.
         """
-        inv = self.inv
-        for rule in sorted(self.keys, key=len):
+        inv, relators = self.inv, self.relators
+        position = None
+        for rule in sorted(relators, key=len):
             if len(rule) < 2:
                 continue
+            untried = self.untried.get(rule)
+            if untried is None:
+                untried = self.untried[rule] = set(relators)
+                untried.discard(rule)
+            if not untried:
+                continue
+            if position is None:
+                position = {r: i for i, r in enumerate(relators)}
             table = self.tables.get(rule)
             if table is None:
                 table = self.tables[rule] = _shortening_table(rule, inv)
-            failed = self.failed.setdefault(rule, set())
-            for target in self.keys:
-                if target == rule or target in failed:
-                    continue
+            for target in sorted(untried, key=position.__getitem__):
                 w = _try_shorten(target, table, inv)
                 if w is None:
-                    failed.add(target)
+                    untried.discard(target)
                     continue
                 w = _cyclic(w, inv)
                 return None, self._normalized(
-                    [w, None] if r == target else (r, k)
-                    for r, k in self.keys.items())
+                    w if r == target else r for r in relators)
         return None
 
-    def _normalized(self, entries) -> dict[str, str]:
-        """The words of ``entries`` (``[word, key or None]``), in order, with
-        their keys; empty words and repeated keys are dropped."""
-        out: dict[str, str] = {}
-        seen = set()
-        for entry in entries:
-            if entry[0]:
-                key = _entry_key(entry, self.inv)
-                if key not in seen:
-                    seen.add(key)
-                    out[entry[0]] = key
+    def _normalized(self, words) -> dict[str, None]:
+        """The nonempty ``words``, in order as the keys of a dict, and only
+        the first of a class."""
+        inv = self.inv
+        out: dict[str, None] = {}
+        kept: dict[int, list] = {}       # length -> words kept
+        for w in words:
+            if w:
+                same = kept.setdefault(len(w), [])
+                if not same or not _class_of(w, _invert(w, inv), same):
+                    out[w] = None
+                    same.append(w)
         return out
 
 
@@ -787,17 +829,19 @@ def tietze_simplify(pres: Presentation,
     encoding is increasing, so str words compare, sort and rotate as their
     tuples do.  Generators keep their input numbers and are renumbered once,
     on exit, which keeps the order of the letters that remain; so the
-    candidates, the keys (least rotation of a relator or of its inverse),
-    the shortenings and the deduplication are those of renumbering at every
-    elimination.  The relators live in a ``_Relators``, which keeps their
-    keys and an index (the relators of each generator, key -> relator, the
-    lengths) from move to move; a move rewrites, re-keys and re-indexes only
-    the relators it changes.  Memoised, and forgotten with their relator:
-    each elimination candidate's image and the relators it has rewritten,
-    with their keys computed only when a word of the same length could
-    repeat one; each relator's isolated letters, its shortening table and
-    the relators it fails to shorten.  A rank past 557,055 has no encoding:
-    the input comes back unchanged, with ``completed=False``.
+    candidates, the shortenings and the deduplication are those of
+    renumbering at every elimination.  Two words are duplicates when one is
+    a rotation of the other or of its inverse, which ``_class_of`` tests by
+    substring search in a doubled word, so no canonical key is computed.
+    The relators live in a ``_Relators``, which keeps an index (the
+    relators of each generator and of each length) from move to move; a
+    move rewrites and re-indexes only the relators it changes.  Memoised, and
+    forgotten with their relator: each elimination candidate's image, the
+    relators it has rewritten and a running lower bound of its total, exact
+    once all are rewritten; each relator's isolated letters, its shortening
+    table and the relators it has not been tried on.  A rank past 557,055
+    has no encoding: the input comes back unchanged, with
+    ``completed=False``.
     """
     rank = pres.rank
     if 2 * rank + 1 > 0x10FFFF:
@@ -826,5 +870,5 @@ def tietze_simplify(pres: Presentation,
     return TietzeResult(
         Presentation(tuple(pres.generators[x - 1] for x in kept),
                      tuple(tuple(map(number.__getitem__, r))
-                           for r in state.keys)),
+                           for r in state.relators)),
         move is None, steps)

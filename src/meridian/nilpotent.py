@@ -52,6 +52,7 @@ from .abelian import (
     AbelianGroup,
     exponent_matrix,
     hermite_basis,
+    hermite_invariants,
     integer_row_kernel,
     quotient_invariants,
 )
@@ -301,10 +302,11 @@ def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
             yield _lie2_coords(elt.d2, basis) + at_leads(elt.d3)
 
     # Rows with a pivot among the degree-2 columns span J_2; the others are
-    # zero there and span J_3 in lead coordinates (module docstring).
+    # zero there and span J_3 in lead coordinates (module docstring).  Each
+    # block of the echelon is a Hermite basis already.
     echelon = hermite_basis(rows(), dim2 + len(leads))
-    upper = [row[:dim2] for p, row in echelon.items() if p < dim2]
-    lower = [row[dim2:] for p, row in echelon.items() if p >= dim2]
-    graded = (out[0], quotient_invariants(upper, dim2),
-              quotient_invariants(lower, len(leads)))
+    upper = {p: row[:dim2] for p, row in echelon.items() if p < dim2}
+    lower = {p - dim2: row[dim2:] for p, row in echelon.items() if p >= dim2}
+    graded = (out[0], hermite_invariants(upper, dim2),
+              hermite_invariants(lower, len(leads)))
     return GradedQuotient(graded[:max_class])

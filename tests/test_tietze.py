@@ -8,13 +8,15 @@ the routine only when a move was still available.
 """
 
 import random
-from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_tietze
 from meridian import cli, fpgroups
+from meridian.abelian import abelianization
+from meridian.braids import zvk_presentation
 from meridian.cosets import (
     SubgroupSpec,
     reidemeister_schreier,
@@ -27,6 +29,7 @@ from meridian.fpgroups import (
     cyclic_reduce,
     invert,
     multiply,
+    print_presentation,
     reduce_word,
     tietze_simplify,
 )
@@ -77,13 +80,9 @@ def decode(s, rank):
     return tuple(ord(c) - rank - 1 for c in s)
 
 
-# the empty word; rank 1; least letter twice, in u and in u^-1; u and u^-1
-# with the same least letter
+# the empty word; rank 1
 @example((1, (), ()))
 @example((1, (1, 1, 1), (-1,)))
-@example((3, (-3, 1, -3, 2), (3, -1, 2, -1, 3)))
-@example((2, (1, 2, -1, -2), (2, 1, -2, -1)))
-@example((2, (1, -2, 1, -2, 1, 2), ()))
 @settings(max_examples=300)
 @given(encoded_words())
 def test_string_words_agree_with_tuple_words(drawn):
@@ -92,12 +91,52 @@ def test_string_words_agree_with_tuple_words(drawn):
     enc_u, enc_v = fpgroups._encode(u, rank), fpgroups._encode(v, rank)
     assert decode(enc_u, rank) == u
     assert (u < v) == (enc_u < enc_v)
-    for w, enc in ((u, enc_u), (v, enc_v)):
-        assert fpgroups._key(enc, inv) == \
-            fpgroups._encode(fpgroups._relator_key(w), rank)
     assert decode(fpgroups._invert(enc_u, inv), rank) == invert(u)
     assert decode(fpgroups._join(enc_u, enc_v, inv), rank) == multiply(u, v)
     assert decode(fpgroups._cyclic(enc_u, inv), rank) == cyclic_reduce(u)
+
+
+@st.composite
+def word_pairs(draw):
+    """A rank of 1-3 and two reduced words of one length, the second often a
+    rotation of the first or of its inverse."""
+    rank = draw(st.integers(1, 3))
+
+    def reduced(n):
+        w = []
+        for _ in range(n):
+            w.append(draw(st.integers(-rank, rank).filter(
+                lambda x: x and not (w and x == -w[-1]))))
+        return tuple(w)
+
+    u = reduced(draw(st.integers(0, 10)))
+    how = draw(st.sampled_from(["rotation", "inverse", "other"]))
+    if how == "other":
+        return rank, u, reduced(len(u))
+    k = draw(st.integers(0, len(u)))
+    v = u[k:] + u[:k]
+    return rank, u, invert(v) if how == "inverse" else v
+
+
+# the empty word; least letter twice, against a rotation and against the
+# inverse; u and u^-1 with the same least letter; the same letters in
+# another class
+@example((1, (), ()))
+@example((3, (-3, 1, -3, 2), (-3, 2, -3, 1)))
+@example((3, (-3, 1, -3, 2), (-2, 3, -1, 3)))
+@example((2, (1, 2, -1, -2), (2, 1, -2, -1)))
+@example((2, (1, 1, 2, 2), (1, 2, 1, 2)))
+@settings(max_examples=400)
+@given(word_pairs())
+def test_class_test_is_key_equality(drawn):
+    # Tietze simplification deduplicates relators with _class_of, and
+    # Presentation with _relator_key: the two must agree.
+    rank, u, v = drawn
+    inv = fpgroups._inverse_table(rank)
+    enc_u, enc_v = fpgroups._encode(u, rank), fpgroups._encode(v, rank)
+    found = fpgroups._class_of(enc_u, fpgroups._invert(enc_u, inv), [enc_v])
+    assert (found is not None) == \
+        (fpgroups._relator_key(u) == fpgroups._relator_key(v))
 
 
 @st.composite
@@ -187,60 +226,121 @@ def test_kernel_matches_reference(presets):
                 (old.presentation, old.steps), (name, n, budget)
 
 
+def test_table1_kernel_matches_golden():
+    # The index-10 kernel that the pipeline's infinite-orbifold obstruction
+    # simplifies for degtyarev-table1, the largest input of this file.
+    # reference_tietze gives the golden too, but takes minutes.
+    mono = cli.load_monodromy("degtyarev-table1")
+    raw = zvk_presentation(mono.strands, mono.braids, "block")
+    group = tietze_simplify(raw).presentation
+    images = abelianization(group).gen_images
+    kernel, _ = schreier_rewrite(group, todd_coxeter(
+        group, SubgroupSpec.kernel_of((10,), list(images))))
+    assert (kernel.rank, len(kernel.relators),
+            kernel.total_relator_length()) == (21, 60, 712)
+    result = tietze_simplify(kernel)
+    assert (result.steps, result.completed) == (472, True)
+    assert (result.presentation.rank, len(result.presentation.relators)) == \
+        (5, 21)
+    golden = Path(__file__).parent / "golden" / "tietze-table1-kernel-10.grp"
+    assert print_presentation(result.presentation) == golden.read_text()
+
+
 def test_substitutions_outlive_eliminations(presets, monkeypatch):
     # Generators keep their numbers, so a substituted relator stays valid
     # until the relator itself goes; recomputing them after every
-    # elimination took 6,668 substitutions here.  A rewritten relator is
-    # keyed only when a word of its length could repeat it: keying each one
-    # took 4,930 keys.
-    calls = {"_substitute": 0, "_key": 0}
+    # elimination took 6,668 substitutions here.
+    calls = 0
+    substitute = fpgroups._substitute
 
-    def counting(name):
-        function = getattr(fpgroups, name)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return substitute(*args)
 
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
-        monkeypatch.setattr(fpgroups, name, counted)
-
-    for name in calls:
-        counting(name)
+    monkeypatch.setattr(fpgroups, "_substitute", counted)
     raw, _ = schreier_rewrite(*affine_kernel(presets, 12))
     assert tietze_simplify(raw).steps == 66
-    assert calls == {"_substitute": 4508, "_key": 3057}
+    assert calls == 4508
+
+
+def check_relators(state):
+    """The index describes the relators, every memo holds live relators
+    only, so none grows with the number of moves, and every elimination's
+    running total is that of the rewrites it holds."""
+    live = set(state.relators)
+    rank = len(state.inv) // 2 - 1     # inv has 2 * rank + 2 letters
+
+    def key(s):
+        return fpgroups._relator_key(tuple(ord(c) - rank - 1 for c in s))
+
+    assert state.lengths == {n: dict.fromkeys(r for r in live if len(r) == n)
+                             for n in set(map(len, live))}
+    assert state.whole == sum(map(len, live))
+    folded = {r: r.translate(state.fold) for r in live}
+    assert state.occurs.keys() == set("".join(folded.values()))
+    for g, (touched, length) in state.occurs.items():
+        assert set(touched) == {r for r in live if g in folded[r]}
+        assert length == sum(map(len, touched))
+    for memo in (state.substituted, state.twins, state.tables,
+                 state.untried, state.isolated):
+        assert live.issuperset(memo)
+    assert all(untried <= live - {rule}
+               for rule, untried in state.untried.items())
+    live_keys = set(map(key, live))
+    for by_letter in state.substituted.values():
+        for elimination in by_letter.values():
+            rewritten = elimination.rewritten
+            assert live.issuperset(rewritten)
+            lengths = {key(w): len(w) for w, _ in rewritten.values() if w}
+            assert elimination.extra == sum(
+                n for k, n in lengths.items() if k not in live_keys)
+            assert len(lengths) == sum(map(len, elimination.classes.values()))
+
+
+class CheckedRelators(fpgroups._Relators):
+    """Runs check_relators after every move and counts the moves."""
+
+    moves = 0
+
+    def replace(self, new):
+        super().replace(new)
+        CheckedRelators.moves += 1
+        check_relators(self)
 
 
 def test_index_and_memos_follow_the_relators(presets, monkeypatch):
-    # After every move the index describes the relators, and every memo
-    # holds live relators only, so none grows with the number of moves.
-    moves = []
-
-    class Checked(fpgroups._Relators):
-        def replace(self, new):
-            super().replace(new)
-            moves.append(new)
-            live = set(self.keys)
-            assert self.at == {k: r for r, k in self.keys.items()}
-            assert self.whole == sum(map(len, live))
-            assert self.lengths == Counter(map(len, live))
-            folded = {r: r.translate(self.fold) for r in live}
-            assert self.occurs.keys() == set("".join(folded.values()))
-            for g, (touched, length) in self.occurs.items():
-                assert set(touched) == {r for r in live if g in folded[r]}
-                assert length == sum(map(len, touched))
-            for memo in (self.substituted, self.tables, self.failed,
-                         self.isolated):
-                assert live.issuperset(memo)
-            assert all(live.issuperset(targets)
-                       for targets in self.failed.values())
-            assert all(live.issuperset(elimination[3])
-                       for by_letter in self.substituted.values()
-                       for elimination in by_letter.values())
-
-    monkeypatch.setattr(fpgroups, "_Relators", Checked)
+    monkeypatch.setattr(fpgroups, "_Relators", CheckedRelators)
+    monkeypatch.setattr(CheckedRelators, "moves", 0)
     raw, _ = schreier_rewrite(*affine_kernel(presets, 12))
     assert tietze_simplify(raw).steps == 66
-    assert len(moves) == 67     # the relators as given, then one per move
+    # the relators as given, then one per move
+    assert CheckedRelators.moves == 67
+
+
+# Kernels of small two-generator groups.  In the first, a rewrite's class
+# that a live relator is in counts again when the relator goes; in the
+# second, a rewrite in such a class goes first.  In the third, a relator that
+# a move adds stops a class counting.  No kernel above has any of these.
+@example(Presentation(("g1", "g2", "g3"),
+                      ((-1, -1, -3, -2, 3), (2, 2, 2, 2, 3), (-1, -1, -1),
+                       (-2, -2, -1), (3, 1, 1, 1, 1), (-2, -2, -2))))
+@example(Presentation(tuple(f"g{i}" for i in range(1, 9)),
+                      ((-8, -7, -2, -4, -6, -2, -4), (-5, -3), (-4, -3, -1),
+                       (-2, -8, -5, -1), (-8, -5, -1, -7, -7, -2),
+                       (-3, -6, -2), (-6, -7, -2, -8, -7, -2, -4),
+                       (3, -1, -4), (-3, -6, -2, -4, -4), (5, -7),
+                       (-1, -5, -1, -7), (6, -8, -7), (-5, -3, -1, -1),
+                       (8, -4, -6))))
+@example(Presentation(("g1", "g2", "g3"), ((-1, -3, -1, -1), (2, 3, 3, -1),
+                                           (-3, -3, 1, 2), (3, 1, 1),
+                                           (-3, -2, -2), (-3, -2, -3))))
+@settings(max_examples=300)
+@given(presentations())
+def test_memos_follow_random_relators(pres):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpgroups, "_Relators", CheckedRelators)
+        tietze_simplify(pres)
 
 
 def test_pipeline_step_counts(monkeypatch):
