@@ -194,21 +194,33 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _reduce_above(basis: dict[int, list[int]], low: int) -> None:
-    """Reduce the entries above every pivot in column >= low into [0, pivot).
+def _reduce_above(basis: dict[int, list[int]], changed: set[int]) -> None:
+    """Reduce the entries above each pivot into [0, pivot), in a basis that
+    was reduced before the rows at the ``changed`` pivot columns were
+    replaced or added.
 
+    An entry can be out of range only in a changed row, or at a changed
+    pivot column, or after a column where its row is reduced.  So a changed
+    row is reduced from its pivot on, another row from the first changed
+    pivot past its own, and a row past every changed pivot not at all.
     Each row is reduced left to right, since reducing at one pivot column
-    only changes the columns after it.
+    only changes the columns from it on; rows are taken bottom up, so each
+    reduces by rows that are final.
     """
     pivots = sorted(basis)
-    for p in reversed(pivots):
+    start = len(pivots)       # index of the first changed pivot past p
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        if p in changed:
+            first, start = i + 1, i
+        else:
+            first = start
         row = basis[p]
-        for c in pivots:
-            if c > p and c >= low:
-                q = row[c] // basis[c][c]
-                if q:
-                    row = [x - q * y for x, y in zip(row, basis[c])]
-        basis[p] = row
+        for c in pivots[first:]:
+            pivot = basis[c]
+            q = row[c] // pivot[c]
+            if q:
+                row[c:] = [x - q * y for x, y in zip(row[c:], pivot[c:])]
 
 
 def hermite_basis(rows: Iterable[Sequence[int]],
@@ -219,13 +231,14 @@ def hermite_basis(rows: Iterable[Sequence[int]],
     A row meeting a pivot it does not divide replaces that pivot row by an
     extended-gcd combination of the two and goes on with the other.  After
     every change of the basis the entries above each pivot are reduced into
-    [0, pivot); without it the entries grow to thousands of bits.  Every step
-    is unimodular, so the basis spans the same lattice as the rows.
+    [0, pivot), where a change can have moved them (``_reduce_above``);
+    without it the entries grow to thousands of bits.  Every step is
+    unimodular, so the basis spans the same lattice as the rows.
     """
     basis: dict[int, list[int]] = {}
     for row in rows:
         row = list(row)
-        low = dim    # leftmost pivot column this row changed
+        changed = set()     # pivot columns whose row this row replaced
         col = 0
         while True:
             col = next((c for c in range(col, dim) if row[c]), dim)
@@ -234,7 +247,7 @@ def hermite_basis(rows: Iterable[Sequence[int]],
             piv = basis.get(col)
             if piv is None:
                 basis[col] = row if row[col] > 0 else [-x for x in row]
-                low = min(low, col)
+                changed.add(col)
                 break
             a, b = piv[col], row[col]
             q, r = divmod(b, a)
@@ -243,11 +256,11 @@ def hermite_basis(rows: Iterable[Sequence[int]],
                 basis[col] = [s * x + t * y for x, y in zip(piv, row)]
                 a, b = a // g, b // g
                 row = [a * y - b * x for x, y in zip(piv, row)]
-                low = min(low, col)
+                changed.add(col)
             else:
                 row[col:] = [y - q * x for x, y in zip(piv[col:], row[col:])]
-        if low < dim:
-            _reduce_above(basis, low)
+        if changed:
+            _reduce_above(basis, changed)
     return basis
 
 

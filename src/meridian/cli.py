@@ -28,7 +28,7 @@ from .fpgroups import (
     print_presentation,
     tietze_simplify,
 )
-from .nilpotent import lcs_quotients
+from .nilpotent import fewest_generators, lcs_quotients
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE_LIMIT, INTERNAL_FAULT = 0, 1, 2, 3, 70
 
@@ -300,7 +300,8 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_lcs(args) -> int:
-    graded = lcs_quotients(_simplify(load_presentation(args), "lcs"),
+    pres = load_presentation(args)
+    graded = lcs_quotients(fewest_generators(pres) or _simplify(pres, "lcs"),
                            args.max_class)
     lines = []
     doc = {}

@@ -843,6 +843,34 @@ def tietze_simplify(pres: Presentation,
     has no encoding: the input comes back unchanged, with
     ``completed=False``.
     """
+    def move(state):
+        # A forced elimination still terminates: generators only disappear.
+        candidates = state.candidates()
+        return (state.eliminate(candidates, state.whole, True)
+                or state.shorten()
+                or state.eliminate(candidates, math.inf, False))
+    return _run_moves(pres, move, budget)
+
+
+def eliminate_generators(pres: Presentation) -> TietzeResult:
+    """Eliminate generators while some relator holds one exactly once.
+
+    Each move takes ``tietze_simplify``'s first candidate (the shortest
+    defining relator, the later-named generator on a tie) whatever the
+    relators then total, and no relator is shortened by another: few
+    generators, at one rewrite of the relators with each generator
+    eliminated, but relators maybe longer than ``tietze_simplify``'s.
+    Encoding, deduplication and renumbering are those of ``tietze_simplify``.
+    """
+    return _run_moves(
+        pres, lambda state: state.eliminate(state.candidates(), math.inf, True),
+        math.inf)
+
+
+def _run_moves(pres: Presentation, move, budget) -> TietzeResult:
+    """Apply ``move(state)`` to the ``_Relators`` of ``pres`` until it
+    returns None or ``budget`` moves are made, and renumber the generators
+    that remain (see ``tietze_simplify``)."""
     rank = pres.rank
     if 2 * rank + 1 > 0x10FFFF:
         return TietzeResult(pres, False, 0)
@@ -851,14 +879,10 @@ def tietze_simplify(pres: Presentation,
     eliminated = set()
     steps = 0
     while True:
-        # A forced elimination still terminates: generators only disappear.
-        candidates = state.candidates()
-        move = (state.eliminate(candidates, state.whole, True)
-                or state.shorten()
-                or state.eliminate(candidates, math.inf, False))
-        if move is None or steps >= budget:
+        step = move(state)
+        if step is None or steps >= budget:
             break
-        g, relators = move
+        g, relators = step
         state.replace(relators)
         if g:
             eliminated.add(g)
@@ -871,4 +895,4 @@ def tietze_simplify(pres: Presentation,
         Presentation(tuple(pres.generators[x - 1] for x in kept),
                      tuple(tuple(map(number.__getitem__, r))
                            for r in state.relators)),
-        move is None, steps)
+        step is None, steps)

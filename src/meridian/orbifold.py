@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from .abelian import AbelianGroup, abelian_invariants, surjects_onto
 from .charvar import FiniteTorusVariety, RankOneVariety
-from .cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
-from .fpgroups import InputError, Presentation, commutator, multiply, power
-from .nilpotent import lcs_quotients
+from .cosets import SubgroupSpec, schreier_rewrite, todd_coxeter
+from .fpgroups import (InputError, Presentation, commutator, multiply, power,
+                       tietze_simplify)
+from .nilpotent import fewest_generators, lcs_quotients
 
 
 class OrbifoldSignature:
@@ -312,7 +313,8 @@ def obstruct_infinite_rank_one(pres: Presentation,
     else:
         spec = SubgroupSpec.kernel_of((10,), [(i[-1] % 10,)
                                               for i in ab.gen_images])
-    kernel = reidemeister_schreier(pres, todd_coxeter(pres, spec)).presentation
+    raw, _ = schreier_rewrite(pres, todd_coxeter(pres, spec))
+    kernel = fewest_generators(raw) or tietze_simplify(raw).presentation
     k_lcs = lcs_quotients(kernel)
     t_lcs = lcs_quotients(orbifold_presentation(OrbifoldSignature(2)))
     k_ab, t_ab = k_lcs.degree(1), t_lcs.degree(1)

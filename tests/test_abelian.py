@@ -6,6 +6,7 @@ from meridian.abelian import (
     AbelianGroup,
     abelianization,
     characters_of_order_dividing,
+    hermite_basis,
     integer_row_kernel,
     quotient_invariants,
     smith_normal_form,
@@ -14,6 +15,7 @@ from meridian.abelian import (
 from meridian.fpgroups import parse_presentation
 
 from conftest import DENSE_11X7, check_snf
+import reference_hermite
 
 
 class TestSmithNormalForm:
@@ -148,6 +150,33 @@ class TestQuotientInvariants:
 
     def test_dense_11x7_is_trivial(self):
         assert quotient_invariants(DENSE_11X7, 7) == AbelianGroup(0, ())
+
+
+class TestHermiteBasis:
+    """The echelon that reduces only where a change can have moved an entry
+    against the one that reduced above every pivot after every change: the
+    Hermite normal form is unique, so the dicts are equal."""
+
+    @settings(max_examples=400)
+    @given(small_matrices())
+    def test_matches_reference(self, case):
+        rows, dim = case
+        assert hermite_basis(rows, dim) == \
+            reference_hermite.hermite_basis(rows, dim)
+
+    @settings(max_examples=60)
+    @given(planted_quotients())
+    def test_matches_reference_on_planted_quotients(self, case):
+        rows, dim, _ = case
+        assert hermite_basis(rows, dim) == \
+            reference_hermite.hermite_basis(rows, dim)
+
+    def test_dense_11x7_and_its_kernel_rows(self):
+        rows = [row + [int(i == j) for j in range(len(DENSE_11X7))]
+                for i, row in enumerate(DENSE_11X7)]
+        for matrix, dim in ((DENSE_11X7, 7), (rows, 18)):
+            assert hermite_basis(matrix, dim) == \
+                reference_hermite.hermite_basis(matrix, dim)
 
 
 class TestIntegerRowKernel:

@@ -27,6 +27,7 @@ MODULE = [sys.executable, "-m", "meridian.cli"]
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 INPUTS = GOLDEN.parent / "inputs"
 README = GOLDEN.parent.parent / "README.md"
+TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*args, env_extra=None):
@@ -566,6 +567,31 @@ class TestDeterminismAndJson:
         out = subprocess.run(MODULE + list(args), capture_output=True)
         assert out.returncode == 0
         assert out.stdout == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("json_flag,golden", [
+        ((), "obstruct-degtyarev-affine.out"),
+        (("--json",), "obstruct-degtyarev-affine-json.out"),
+    ])
+    def test_obstruct_matches_golden(self, json_flag, golden):
+        # the kernel-evidence lines are the class-3 LCS of the index-10 kernel
+        out = subprocess.run(
+            MODULE + [*json_flag, "obstruct", "--preset", "degtyarev-affine"],
+            capture_output=True)
+        assert (out.returncode, out.stderr) == (1, b"")
+        assert out.stdout == (TEST_GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv,ranks", [
+        # affine, projective and meridian^5; the index-10 kernel of the
+        # infinite-orbifold obstruction reaches d(H1) by eliminations
+        (["pipeline", "--preset", "degtyarev"], [3, 3, 3]),
+        # no letter is isolated, and rank 4 = d(Z^4)
+        (["lcs", "--class", "3", "--preset", "genus2"], []),
+    ])
+    def test_tietze_calls(self, monkeypatch, capsys, argv, ranks):
+        simplified = count_calls(monkeypatch, tietze_simplify)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert [pres.rank for pres in simplified] == ranks
 
     @pytest.mark.parametrize("kernel", ["kernel-4", "kernel-6"])
     def test_raw_kernel_lcs_matches_golden(self, kernel):

@@ -3,8 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meridian.abelian import AbelianGroup, abelianization
-from meridian.cosets import SubgroupSpec, reidemeister_schreier, todd_coxeter
+from meridian.abelian import AbelianGroup, abelian_invariants, abelianization
+from meridian.cli import preset_text
+from meridian.cosets import (
+    SubgroupSpec,
+    reidemeister_schreier,
+    schreier_rewrite,
+    todd_coxeter,
+)
 from meridian.fpgroups import (
     Presentation,
     commutator,
@@ -18,6 +24,7 @@ from meridian.nilpotent import (
     _bracket_tensor3,
     _clean,
     _lie3_leads,
+    fewest_generators,
     free_lie_ranks,
     lcs_quotients,
     magnus,
@@ -216,3 +223,43 @@ def test_matches_reference_route(pres):
     # to be a Lie element, against one echelon read at the lead monomials
     for c in (2, 3):
         assert lcs_quotients(pres, c) == reference_lcs.lcs_quotients(pres, c)
+
+
+def affine_kernel(n):
+    """The raw Schreier presentation of the kernel of x, y -> 1 in Z/n on
+    ``degtyarev-affine``."""
+    pres = parse_presentation(preset_text("degtyarev-affine", ".grp"))
+    table = todd_coxeter(pres, SubgroupSpec.kernel_of((n,), [(1,), (1,)]))
+    return schreier_rewrite(pres, table)[0]
+
+
+def check_lcs_input(pres):
+    # the LCS input of `meridian lcs` and of the infinite-orbifold
+    # obstruction: the eliminations when they reach d(H1), else Tietze
+    fewest = fewest_generators(pres)
+    simplified = tietze_simplify(pres).presentation
+    stage = fewest or simplified
+    assert stage.rank <= simplified.rank
+    if fewest is not None:
+        ab = abelian_invariants(pres)
+        assert fewest.rank == ab.rank + len(ab.torsion)
+    for c in (1, 2, 3):
+        assert lcs_quotients(stage, c) == lcs_quotients(simplified, c)
+
+
+@settings(max_examples=200)
+@given(st.randoms())
+def test_fewest_generators_keep_the_quotients(rng):
+    check_lcs_input(random_presentation(rng))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_fewest_generators_of_affine_kernels(n):
+    check_lcs_input(affine_kernel(n))
+
+
+def test_fewest_generators_reach_the_pipeline_kernel(presets):
+    # the index-10 kernel of the infinite-orbifold obstruction: 11 Schreier
+    # generators, H1 = Z^5
+    assert fewest_generators(affine_kernel(10)).rank == 5
+    assert fewest_generators(presets["genus2"]) == presets["genus2"]

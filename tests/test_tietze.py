@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_tietze
-from meridian import cli, fpgroups
-from meridian.abelian import abelianization
+from meridian import cli, fpgroups, orbifold
+from meridian.abelian import abelian_invariants, abelianization
 from meridian.braids import zvk_presentation
 from meridian.cosets import (
     SubgroupSpec,
@@ -27,6 +27,7 @@ from meridian.fpgroups import (
     Presentation,
     TietzeResult,
     cyclic_reduce,
+    eliminate_generators,
     invert,
     multiply,
     print_presentation,
@@ -195,6 +196,48 @@ def test_rank_past_the_encoding_is_returned_unchanged():
     # 2 * rank + 1 letter codes no longer fit below U+10FFFF
     pres = Presentation(tuple(map(str, range(557056))), ((1, 2, -1),))
     assert tietze_simplify(pres) == TietzeResult(pres, False, 0)
+    assert eliminate_generators(pres) == TietzeResult(pres, False, 0)
+
+
+@settings(max_examples=300)
+@given(presentations())
+def test_eliminations_keep_the_abelianization(pres):
+    result = eliminate_generators(pres)
+    out = result.presentation
+    assert result.completed
+    assert abelian_invariants(out) == abelian_invariants(pres)
+    assert out.rank == pres.rank - result.steps
+    # no generator is left isolated in a relator
+    assert not any(sum(abs(x) == g for x in r) == 1
+                   for r in out.relators for g in range(1, out.rank + 1))
+
+
+def with_product_generator(pres):
+    """<x, y, z | R, x y z^-1>, with x y spelled z and y^-1 x^-1 spelled
+    z^-1 throughout R: the same group, and z occurs once in one relator."""
+    def spell(w):
+        out = []
+        for a in w:
+            if out and (out[-1], a) in ((1, 2), (-2, -1)):
+                out[-1] = 3 if a == 2 else -3
+            else:
+                out.append(a)
+        return tuple(out)
+    return Presentation(pres.generators + ("z",),
+                        tuple(map(spell, pres.relators)) + ((1, 2, -3),))
+
+
+@pytest.mark.parametrize("argv,order", [
+    (["--preset", "degtyarev-projective"], 320),
+    (["--orbifold", "g=0 k=0 m=2,3,5"], 60),
+])
+def test_eliminations_keep_finite_orders(argv, order):
+    pres = cli.load_presentation(cli.build_parser().parse_args(["order"] + argv))
+    extended = with_product_generator(pres)
+    assert any(3 in r or -3 in r for r in extended.relators[:-1])
+    result = eliminate_generators(extended)
+    assert (result.steps, result.presentation.generators) == (1, ("x", "y"))
+    assert todd_coxeter(result.presentation).index == order
 
 
 def kernel(presets, name, n, images):
@@ -227,8 +270,9 @@ def test_kernel_matches_reference(presets):
 
 
 def test_table1_kernel_matches_golden():
-    # The index-10 kernel that the pipeline's infinite-orbifold obstruction
-    # simplifies for degtyarev-table1, the largest input of this file.
+    # The index-10 kernel of the pipeline's infinite-orbifold obstruction
+    # for degtyarev-table1 (which reaches d(H1) by eliminations and so
+    # skips Tietze there), the largest input of this file.
     # reference_tietze gives the golden too, but takes minutes.
     mono = cli.load_monodromy("degtyarev-table1")
     raw = zvk_presentation(mono.strands, mono.braids, "block")
@@ -344,6 +388,9 @@ def test_memos_follow_random_relators(pres):
 
 
 def test_pipeline_step_counts(monkeypatch):
+    # the affine, projective and meridian^5 presentations; the index-10
+    # kernel of the infinite-orbifold obstruction reaches d(H1) = 5 by
+    # eliminations alone and is not Tietze-simplified
     steps = []
 
     def recording(pres, budget=fpgroups.TIETZE_BUDGET):
@@ -351,7 +398,7 @@ def test_pipeline_step_counts(monkeypatch):
         steps.append(result.steps)
         return result
 
-    monkeypatch.setattr(fpgroups, "tietze_simplify", recording)
-    monkeypatch.setattr(cli, "tietze_simplify", recording)
+    for module in (fpgroups, cli, orbifold):
+        monkeypatch.setattr(module, "tietze_simplify", recording)
     assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
-    assert steps == [4, 11, 4, 47]
+    assert steps == [4, 11, 4]
