@@ -16,7 +16,7 @@ abelianization to integers.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 from .abelian import AbelianGroup, Character, abelianization, characters_of_order_dividing
 from .exactalg import (
@@ -332,8 +332,10 @@ def charvar_rank_one(pres: Presentation,
     unity among its roots.  Membership of the trivial character follows the
     Betti rule: 1 lies in V_k exactly when the first Betti number is at
     least k.  The gcd is taken up to units of Z[t, t^-1], so powers of t
-    are divided out: 0 is not a character.  ``group`` is the
-    abelianization of ``pres``, computed here when not given.
+    are divided out: 0 is not a character.  The strata are listed up to
+    the first empty one, whatever the number of generators, so the listing
+    depends on the group alone.  ``group`` is the abelianization of
+    ``pres``, computed here when not given.
     """
     if group is None:
         group = abelianization(pres)
@@ -344,12 +346,15 @@ def charvar_rank_one(pres: Presentation,
     matrix = [_row_to_polys(row) for row in fox_matrix(pres, group)]
     betti = 1
     strata = []
-    for k in range(1, g + 1):
+    for k in count(1):
         size = g - k
         includes_one = betti >= k
         if size <= 0:
+            # no minors: V_k is {1} or empty by the Betti rule
             strata.append(RankOneStratum(k, False, {}, UniPoly([1]), includes_one))
-            break
+            if not includes_one:
+                break
+            continue
         if size > len(matrix):
             # too few relators to constrain the rank: every character qualifies
             strata.append(RankOneStratum(k, True, {}, UniPoly(), includes_one))

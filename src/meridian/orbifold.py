@@ -291,6 +291,12 @@ def obstruct_infinite_rank_one(pres: Presentation,
             or ab.rank == 0 and ab.exponent() % 10 == 0):
         raise InputError("expected abelianization Z (or finite of exponent"
                          " divisible by 10)")
+    if len(ab.torsion) > 1:
+        # both the depth test and the kernel spec below take the one map
+        # onto Z/10 of Z or of a cyclic Z/N
+        raise InputError(f"abelianization {ab} is not cyclic: its maps onto"
+                         " Z/10 are not unique, and only Z or a cyclic Z/N"
+                         " with 10 | N is supported")
     v1_prim10 = variety.contains_primitive(1, 10)
     v2_prim10 = variety.contains_primitive(2, 10)
 

@@ -4,10 +4,15 @@ Its Magnus powers square full tensors and its inverse is a separate series;
 its degree-3 lattice is the degree-3 part of the closure generators with no
 degree-2 part, the brackets, and the combinations whose degree-2 parts
 cancel, found as the integer kernel of [D2 | I] and recombined.  Every
-degree-3 tensor is turned into Hall coordinates by ``_lie3_coords``, which
-raises ``ArithmeticError`` on a tensor that is not a Lie element, so every
-call also checks that the expansion lands in the free Lie ring.
+degree-2 tensor is turned into Hall coordinates by ``_lie2_coords`` and
+every degree-3 tensor by ``_lie3_coords``; both raise ``ArithmeticError``
+on a tensor that is not a Lie element, so every call also checks that the
+expansion lands in the free Lie ring.  The Hall basis and its lead
+monomials are kept here, apart from the package, whose coordinates are
+read at Lyndon words: the two routes share no coordinate code.
 """
+
+from functools import lru_cache
 
 from meridian.abelian import (
     AbelianGroup,
@@ -15,15 +20,79 @@ from meridian.abelian import (
     integer_row_kernel,
     quotient_invariants,
 )
-from meridian.nilpotent import (
-    GradedQuotient,
-    HallBasis,
-    _bump,
-    _clean,
-    _lie2_coords,
-    _lie3_leads,
-    free_lie_ranks,
-)
+
+
+class HallBasis:
+    """Basic commutators of degree <= 3 on n generators.
+
+    Degree 2: [x_i, x_j] with i > j.  Degree 3: [[x_i, x_j], x_k] with i > j
+    and k >= j.  The counts match the Witt numbers.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.degree2 = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
+        self.degree3 = [(i, j, k) for (i, j) in self.degree2
+                        for k in range(j, n + 1)]
+
+
+def _bump(d, key, c):
+    if not c:
+        return
+    v = d.get(key, 0) + c
+    if v:
+        d[key] = v
+    else:
+        del d[key]
+
+
+def _clean(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def _lie2_coords(d2: dict, basis: HallBasis) -> list[int]:
+    """Coordinates of an antisymmetric degree-2 tensor in the Hall basis."""
+    coords = []
+    for (i, j) in basis.degree2:
+        a = d2.get((i, j), 0)
+        b = d2.get((j, i), 0)
+        if a + b:
+            raise ArithmeticError("degree-2 part is not a Lie element")
+        coords.append(a)
+    for i in range(1, basis.n + 1):
+        if d2.get((i, i), 0):
+            raise ArithmeticError("degree-2 part is not a Lie element")
+    return coords
+
+
+def _bracket_tensor3(triple) -> dict:
+    """Tensor of [[e_i, e_j], e_k] = ijk - jik - kij + kji."""
+    i, j, k = triple
+    t: dict = {}
+    _bump(t, (i, j, k), 1)
+    _bump(t, (j, i, k), -1)
+    _bump(t, (k, i, j), -1)
+    _bump(t, (k, j, i), 1)
+    return t
+
+
+@lru_cache(maxsize=None)
+def _lie3_leads(n: int):
+    """Each degree-3 Hall tensor indexed by its lex-largest monomial.
+
+    For [[e_i,e_j],e_k] (i > j, k >= j) the largest of its monomials is
+    (i,j,k) with coefficient 1 when k < i, (k,i,j) with coefficient -1 when
+    k > i, and (i,i,j) with coefficient -1 when k = i.  These lead monomials
+    are pairwise distinct, so the coefficients of a Lie tensor at them are
+    its Hall coordinates under a triangular change of basis with +-1 on the
+    diagonal, unimodular over Z.
+    """
+    leads = {}
+    for idx, triple in enumerate(HallBasis(n).degree3):
+        tensor = _bracket_tensor3(triple)
+        lead = max(tensor)
+        leads[lead] = (idx, tensor[lead], tensor)
+    return leads
 
 
 class Trunc3:
@@ -112,7 +181,7 @@ def _lie3_coords(d3: dict, n: int) -> list[int]:
     """Coordinates of a degree-3 Lie tensor in the Hall basis."""
     leads = _lie3_leads(n)
     acc = {m: c for m, c in d3.items() if c}
-    coords = [0] * free_lie_ranks(n, 3)
+    coords = [0] * len(leads)
     while acc:
         m = max(acc)
         if m not in leads:
@@ -127,8 +196,9 @@ def _lie3_coords(d3: dict, n: int) -> list[int]:
     return coords
 
 
-def lcs_quotients(pres, max_class: int = 3) -> GradedQuotient:
-    """Graded lower-central-series quotients of the presented group."""
+def lcs_quotients(pres, max_class: int = 3) -> tuple:
+    """Graded lower-central-series quotients of the presented group, as the
+    tuple of ``AbelianGroup``s that ``GradedQuotient.degrees`` holds."""
     if not 1 <= max_class <= 3:
         raise ValueError("supported classes are 1, 2 and 3")
     n = pres.rank
@@ -137,7 +207,7 @@ def lcs_quotients(pres, max_class: int = 3) -> GradedQuotient:
     if max_class == 1 or n == 0:
         while len(out) < max_class:
             out.append(AbelianGroup(0, ()))
-        return GradedQuotient(tuple(out))
+        return tuple(out)
 
     basis = HallBasis(n)
     relators = [magnus(n, rel) for rel in pres.relators]
@@ -155,8 +225,8 @@ def lcs_quotients(pres, max_class: int = 3) -> GradedQuotient:
                 prod = prod.mul(rel.power(c))
         closure.append(prod)
 
-    dim2 = free_lie_ranks(n, 2)
-    dim3 = free_lie_ranks(n, 3)
+    dim2 = len(basis.degree2)
+    dim3 = len(basis.degree3)
     rows2: list[list[int]] = []
     rows3_direct: list[list[int]] = []   # degree-3 parts of rows with D2 = 0
     pending: list[tuple[list[int], dict]] = []   # (D2 coords, raw D3 tensor)
@@ -176,7 +246,7 @@ def lcs_quotients(pres, max_class: int = 3) -> GradedQuotient:
 
     gr2 = quotient_invariants(rows2, dim2)
     if max_class == 2:
-        return GradedQuotient((out[0], gr2))
+        return (out[0], gr2)
 
     def rows3():
         yield from rows3_direct
@@ -214,4 +284,4 @@ def lcs_quotients(pres, max_class: int = 3) -> GradedQuotient:
                     yield _lie3_coords(acc, n)
 
     gr3 = quotient_invariants(rows3(), dim3)
-    return GradedQuotient((out[0], gr2, gr3))
+    return (out[0], gr2, gr3)

@@ -353,6 +353,10 @@ class TestInputBoundary:
         "latin1.grp": b"gens x; rel x^2; # \xe9\xff\n",
         "zero.braid": b"strands 0;\n",
         "affine.braid": b"strands 3;\nbraid a: s1^3;\nbraid b: s2^2;\n",
+        # P1(2,5,10) x Z/10: it maps onto P1(2,5,10), and its
+        # abelianization Z/10 x Z/10 has more than one map onto Z/10
+        "p1x10.grp": b"gens a b c z; rel a^2; rel b^5; rel c^10; rel a*b*c;"
+                     b" rel z^10; rel [z,a]; rel [z,b]; rel [z,c];\n",
     }
     NO_INFINITY = ("the monodromy has no 'infinity:' line, and the projective"
                    " group needs the infinity meridian")
@@ -375,6 +379,9 @@ class TestInputBoundary:
         (("zvk", "zero.braid"), "1:1: a braid needs at least one strand"),
         (("zvk", "affine.braid", "--projective"), NO_INFINITY),
         (("pipeline", "--preset", "affine.braid"), NO_INFINITY),
+        (("obstruct", "p1x10.grp"),
+         "abelianization Z/10 x Z/10 is not cyclic: its maps onto Z/10 are"
+         " not unique, and only Z or a cyclic Z/N with 10 | N is supported"),
     ])
     def test_bad_input_is_exit_two(self, tmp_path, args, message):
         for name, data in self.BAD_FILES.items():
@@ -436,6 +443,22 @@ class TestRankOneCharvar:
         out = run("charvar", str(path))
         assert out.returncode == 0
         assert out.stdout == f"character torus: C*\nV1 = {v1}\nV2 = {{}}\n"
+
+    def test_listing_is_an_invariant_of_the_group(self, tmp_path):
+        # two presentations of Z: strata are listed up to the first empty
+        # one, whatever the number of generators
+        outputs = []
+        for name, text in (("one.grp", "gens x;\n"),
+                           ("two.grp", "gens x y; rel x*y^-1;\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            outputs.append([run(*flag, "charvar", str(path))
+                            for flag in ((), ("--json",))])
+        for text, doc in outputs:
+            assert (text.returncode, doc.returncode) == (0, 0)
+            assert text.stdout == "character torus: C*\nV1 = {1}\nV2 = {}\n"
+        assert outputs[0][1].stdout == outputs[1][1].stdout
+        assert set(json.loads(outputs[0][1].stdout)["strata"]) == {"1", "2"}
 
 
 def torus_knot_orders(p, q):
@@ -579,6 +602,14 @@ class TestDeterminismAndJson:
             capture_output=True)
         assert (out.returncode, out.stderr) == (1, b"")
         assert out.stdout == (TEST_GOLDEN / golden).read_bytes()
+
+    def test_obstruct_on_cyclic_finite_abelianization(self):
+        # P1(2,5,10) itself, abelianization Z/10: not excluded
+        out = subprocess.run(MODULE + ["obstruct", "--preset", "p1-2-5-10"],
+                             capture_output=True)
+        assert (out.returncode, out.stderr) == (0, b"")
+        assert out.stdout == \
+            (TEST_GOLDEN / "obstruct-p1-2-5-10.out").read_bytes()
 
     @pytest.mark.parametrize("argv,ranks", [
         # affine, projective and meridian^5; the index-10 kernel of the

@@ -1,9 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from meridian.abelian import AbelianGroup, abelian_invariants, abelianization
+from meridian.abelian import (
+    AbelianGroup,
+    abelian_invariants,
+    abelianization,
+    quotient_invariants,
+)
 from meridian.cli import preset_text
 from meridian.cosets import (
     SubgroupSpec,
@@ -20,15 +25,16 @@ from meridian.fpgroups import (
     tietze_simplify,
 )
 from meridian.nilpotent import (
-    HallBasis,
-    _bracket_tensor3,
-    _clean,
-    _lie3_leads,
+    Truncated,
+    _bracket,
+    _times_letter,
     fewest_generators,
     free_lie_ranks,
     lcs_quotients,
+    lyndon_words,
     magnus,
 )
+from meridian.orbifold import OrbifoldSignature, orbifold_presentation
 from conftest import random_presentation, random_word
 import reference_lcs
 
@@ -45,14 +51,33 @@ class TestWittNumbers:
             free_lie_ranks(2, 4)
 
     def test_hall_basis_counts(self):
+        # the Hall basis of the reference route
         for n in range(1, 7):
-            basis = HallBasis(n)
+            basis = reference_lcs.HallBasis(n)
             assert len(basis.degree2) == free_lie_ranks(n, 2)
             assert len(basis.degree3) == free_lie_ranks(n, 3)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lyndon_word_counts(self, n):
+        for d in (2, 3):
+            words = lyndon_words(n, d)
+            assert len(words) == free_lie_ranks(n, d)
+            assert words == sorted(set(words))
 
-def parts(m):
-    return _clean(m.d1), _clean(m.d2), _clean(m.d3)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hall_brackets_at_lyndon_words_are_unimodular(self, n):
+        # Lyndon coordinates and Hall coordinates are two bases of L_2 and
+        # L_3: the Hall brackets read at the Lyndon words form a square
+        # integer matrix of determinant +-1, so the rows span Z^dim
+        basis = reference_lcs.HallBasis(n)
+        degree2 = [{(i, j): 1, (j, i): -1} for (i, j) in basis.degree2]
+        degree3 = [reference_lcs._bracket_tensor3(t) for t in basis.degree3]
+        for tensors, d in ((degree2, 2), (degree3, 3)):
+            words = lyndon_words(n, d)
+            matrix = [[t.get(w, 0) for w in words] for t in tensors]
+            assert len(matrix) == len(words)
+            assert quotient_invariants(matrix, len(words)) == \
+                AbelianGroup(0, ())
 
 
 class TestMagnus:
@@ -60,59 +85,70 @@ class TestMagnus:
         rng = random.Random(40)
         for _ in range(200):
             w = random_word(rng, 3)
-            m = magnus(3, w)
-            for one in (m.mul(m.power(-1)), m.power(-1).mul(m)):
-                assert not any(c for part in (one.d1, one.d2, one.d3)
-                               for c in part.values())
+            m = magnus(w)
+            assert m.mul(m.power(-1)) == m.power(-1).mul(m) == Truncated.one()
 
     def test_morphism(self):
         rng = random.Random(41)
         for _ in range(100):
             u, v = random_word(rng, 3), random_word(rng, 3)
-            lhs = magnus(3, multiply(u, v))
-            rhs = magnus(3, u).mul(magnus(3, v))
-            assert parts(lhs) == parts(rhs)
+            assert magnus(multiply(u, v)) == magnus(u).mul(magnus(v))
 
     @settings(max_examples=100)
     @given(st.randoms(), st.integers(-7, 7))
     def test_power_of_a_word(self, rng, c):
         w = random_word(rng, 3)
-        assert parts(magnus(3, power(w, c))) == parts(magnus(3, w).power(c))
+        assert magnus(power(w, c)) == magnus(w).power(c)
 
     @settings(max_examples=100)
     @given(st.randoms(), st.integers(-2 ** 40, 2 ** 40),
            st.integers(-2 ** 40, 2 ** 40))
     def test_power_adds_exponents(self, rng, a, b):
-        x = magnus(3, random_word(rng, 3))
-        assert parts(x.power(a + b)) == parts(x.power(a).mul(x.power(b)))
+        x = magnus(random_word(rng, 3))
+        assert x.power(a + b) == x.power(a).mul(x.power(b))
+
+    @settings(max_examples=100)
+    @given(st.randoms(), st.integers(1, 3))
+    def test_twisted_relator(self, rng, i):
+        # (r^g) r^-1 = g r g^-1 r^-1 = 1 + (xv - vx) g^-1 r^-1 for
+        # g = 1 + x, r = 1 + v, as lcs_quotients forms it
+        r = random_word(rng, 3)
+        word = multiply(multiply((i,), r), multiply((-i,), power(r, -1)))
+        twist = _bracket(i, magnus(r))
+        _times_letter(twist, -i)
+        expected = magnus(word)
+        expected[0] = {}
+        assert twist.mul(magnus(r).power(-1)) == expected
 
     def test_gamma_detection(self):
         # [x, y] has vanishing degree 1, [[x, y], x] also vanishing degree 2
         c = commutator((1,), (2,))
-        m = magnus(2, c)
-        assert not _clean(m.d1) and _clean(m.d2)
-        cc = commutator(c, (1,))
-        m = magnus(2, cc)
-        assert not _clean(m.d1) and not _clean(m.d2) and _clean(m.d3)
+        m = magnus(c)
+        assert not m[1] and m[2]
+        m = magnus(commutator(c, (1,)))
+        assert not m[1] and not m[2] and m[3]
 
     def test_lie3_coords_round_trip(self):
+        # the Hall coordinates of the reference route
         rng = random.Random(42)
         for n in (2, 3, 4):
-            basis = HallBasis(n).degree3
+            basis = reference_lcs.HallBasis(n).degree3
             for _ in range(30):
                 coeffs = [rng.randint(-3, 3) for _ in basis]
                 tensor: dict = {}
                 for c, triple in zip(coeffs, basis):
                     if not c:
                         continue
-                    for mono, v in _bracket_tensor3(triple).items():
+                    for mono, v in reference_lcs._bracket_tensor3(
+                            triple).items():
                         tensor[mono] = tensor.get(mono, 0) + c * v
                 tensor = {m: v for m, v in tensor.items() if v}
                 assert reference_lcs._lie3_coords(tensor, n) == coeffs
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_lie3_leads_are_units(self, n):
-        leads = _lie3_leads(n)
+        # the lead monomials of the reference route
+        leads = reference_lcs._lie3_leads(n)
         assert len(leads) == free_lie_ranks(n, 3)
         assert all(abs(c) == 1 for _, c, _ in leads.values())
 
@@ -141,6 +177,12 @@ class TestLcsQuotients:
         q = lcs_quotients(presets["genus2"])
         assert (q.degree(2).rank, q.degree(2).torsion) == (5, ())
         assert (q.degree(3).rank, q.degree(3).torsion) == (16, ())
+
+    @pytest.mark.parametrize("genus,ranks", [(3, (6, 14, 64)),
+                                             (4, (8, 27, 160))])
+    def test_surface_groups_match_labute(self, genus, ranks):
+        q = lcs_quotients(orbifold_presentation(OrbifoldSignature(genus)))
+        assert q.degrees == tuple(AbelianGroup(r, ()) for r in ranks)
 
     def test_degree_one_is_abelianization(self):
         rng = random.Random(43)
@@ -182,6 +224,46 @@ def test_quotients_of_simplified_presentation(rng):
         assert lcs_quotients(pres, c) == lcs_quotients(simplified, c)
 
 
+def labute_ranks(n):
+    """Ranks of the graded quotients of degree 1..3 of a one-relator group
+    on n generators whose relator lies in gamma_2 with a degree-2 initial
+    form that is not a proper multiple in the free Lie ring.  Labute
+    (J. Algebra 1970): they are free abelian of the ranks r_k with
+    prod_k (1 - t^k)^(r_k) = 1 - n t + t^2."""
+    r2 = n * (n - 1) // 2 - 1
+    return n, r2, n * r2 - n * (n - 1) * (n - 2) // 6
+
+
+@st.composite
+def labute_groups(draw):
+    """A product of commutators [x_a, x_b]^+-1 on 2-5 generators with some
+    degree-2 coefficient +-1, sometimes times a random [[u, v], w]."""
+    n = draw(st.integers(2, 5))
+    gens = st.integers(1, n)
+    relator, coefficients = (), {}
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.tuples(gens, gens).filter(lambda p: p[0] != p[1]))
+        sign = draw(st.sampled_from([1, -1]))
+        relator = multiply(relator, power(commutator((a,), (b,)), sign))
+        key = (min(a, b), max(a, b))
+        coefficients[key] = \
+            coefficients.get(key, 0) + (sign if a < b else -sign)
+    assume(any(abs(c) == 1 for c in coefficients.values()))
+    if draw(st.booleans()):
+        rng = draw(st.randoms())
+        u, v, w = (random_word(rng, n, 4) for _ in range(3))
+        relator = multiply(relator, commutator(commutator(u, v), w))
+    return Presentation(tuple(f"x{i}" for i in range(1, n + 1)), (relator,))
+
+
+@settings(max_examples=300)
+@given(labute_groups())
+def test_one_relator_groups_match_labute(pres):
+    q = lcs_quotients(pres)
+    ranks = labute_ranks(pres.rank)
+    assert q.degrees == tuple(AbelianGroup(r, ()) for r in ranks)
+
+
 @st.composite
 def syllable_presentations(draw):
     """Ranks 2-4 with rank to rank+4 relators of 1-4 syllables g^e, |e| <= 7.
@@ -219,10 +301,12 @@ def test_cyclic_abelianization_kills_higher_quotients(pres):
 @given(st.one_of(st.randoms().map(random_presentation),
                  syllable_presentations()))
 def test_matches_reference_route(pres):
-    # the kernel of [D2 | I], recombined, with every degree-3 tensor checked
-    # to be a Lie element, against one echelon read at the lead monomials
+    # the kernel of [D2 | I], recombined, in Hall coordinates that check
+    # every tensor to be a Lie element, against one echelon read at the
+    # Lyndon words
     for c in (2, 3):
-        assert lcs_quotients(pres, c) == reference_lcs.lcs_quotients(pres, c)
+        assert lcs_quotients(pres, c).degrees == \
+            reference_lcs.lcs_quotients(pres, c)
 
 
 def affine_kernel(n):
