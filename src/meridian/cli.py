@@ -265,7 +265,7 @@ def cmd_order(args) -> int:
 def cmd_center(args) -> int:
     pres = load_presentation(args)
     table = cosets.todd_coxeter(pres, **coset_cap(args))
-    _, center, invariants = cosets.regular_rep_and_center(table)
+    center, invariants = cosets.regular_rep_and_center(table)
     emit(args, [f"order {table.index}",
                 f"center of order {len(center)}: {invariants}"], {
         "command": "center",
@@ -466,7 +466,7 @@ def cmd_pipeline(args) -> int:
     lines.append(f"meridian^5 quotient: order {table5.index}")
     doc["meridian5_order"] = table5.index
 
-    _, center, invariants = cosets.regular_rep_and_center(table)
+    center, invariants = cosets.regular_rep_and_center(table)
     lines.append(f"center: order {len(center)}, {invariants}")
     doc["center"] = str(invariants)
 

@@ -656,25 +656,32 @@ def coset_representatives(table: CosetTable) -> list[Word]:
     return reps
 
 
-def regular_rep(table: CosetTable) -> MultTable:
-    """Multiplication table of the quotient, from a trivial-subgroup table.
-
-    Row i is i * rep(j) for every j, filled along the spanning tree: if
-    rep(d) = rep(c) * x then i * rep(d) is (i * rep(c)) acted on by x.
-    """
+def _left_multiplication(table: CosetTable):
+    """The function h -> row of h, the list z -> h * z, for a trivial-subgroup
+    table.  A row is filled along the spanning tree: if rep(d) = rep(c) * x
+    then h * rep(d) is (h * rep(c)) acted on by x."""
     if not table.subgroup.is_trivial_subgroup():
         raise ValueError("regular representation needs the trivial subgroup")
     size = table.index
     tree = [(c, table.action[x - 1] if x > 0 else table.inverse[-x - 1], d)
             for c, x, d in _spanning_tree(table)]
-    mult = []
-    for i in range(size):
-        row = [i] * size
+
+    def row(h: int) -> list[int]:
+        out = [h] * size
         for c, perm, d in tree:
-            row[d] = perm[row[c]]
-        mult.append(row)
+            out[d] = perm[out[c]]
+        return out
+
+    return row
+
+
+def regular_rep(table: CosetTable) -> MultTable:
+    """Multiplication table of the quotient, from a trivial-subgroup table:
+    row i is i * rep(j) for every j."""
+    row = _left_multiplication(table)
     gens = tuple(table.action[g][0] for g in range(table.n_gens))
-    return MultTable(size, mult, 0, gens)
+    return MultTable(table.index, [row(i) for i in range(table.index)], 0,
+                     gens)
 
 
 def abelian_invariants_of_subset(mt: MultTable, elements) -> AbelianGroup:
@@ -718,10 +725,23 @@ def center_of(mt: MultTable) -> list[int]:
 
 
 def regular_rep_and_center(table: CosetTable):
-    """Multiplication table plus the center and its abelian invariants."""
-    mt = regular_rep(table)
-    center = center_of(mt)
-    return mt, center, abelian_invariants_of_subset(mt, center)
+    """The center of the quotient and its abelian invariants, from a
+    trivial-subgroup table, without its multiplication table.
+
+    z is central exactly when it commutes with every generator g, that is
+    when z * g, which the table's column of g holds, equals g * z, which the
+    row of g holds; so one row per generator finds the center.  The center
+    is abelian and holds the identity 0, so the rows of its own elements,
+    read on the center alone, are its multiplication table.
+    """
+    row = _left_multiplication(table)
+    sides = [(right, row(right[0])) for right in table.action]
+    center = [z for z in range(table.index)
+              if all(right[z] == left[z] for right, left in sides)]
+    position = {z: i for i, z in enumerate(center)}
+    small = [[position[r[w]] for w in center] for r in map(row, center)]
+    return center, abelian_invariants_of_subset(
+        MultTable(len(center), small, 0, ()), range(len(center)))
 
 
 # --- Reidemeister-Schreier ------------------------------------------------------
@@ -783,18 +803,24 @@ def reidemeister_schreier(
 # --- epimorphism search -----------------------------------------------------------
 
 
-def _conjugacy_classes(mt: MultTable) -> list[tuple[int, dict[int, int]]]:
-    """Each class as (least element a, {g a g^-1: the least such g})."""
+def _conjugacy_classes(
+        mt: MultTable) -> list[tuple[int, dict[int, int], list[int]]]:
+    """Each class as (least element a, {g a g^-1: the least such g}, the
+    centralizer of a: every g with g a g^-1 = a)."""
     table, inv = mt.table, mt.inverses
     classes, seen = [], set()
     for a in range(mt.size):
         if a in seen:
             continue
         transversal: dict[int, int] = {}
+        centralizer = []
         for g in range(mt.size):
-            transversal.setdefault(table[table[g][a]][inv[g]], g)
+            b = table[table[g][a]][inv[g]]
+            transversal.setdefault(b, g)
+            if b == a:
+                centralizer.append(g)
         seen.update(transversal)
-        classes.append((a, transversal))
+        classes.append((a, transversal, centralizer))
     return classes
 
 
@@ -814,6 +840,13 @@ def find_epimorphisms(pres: Presentation, mt: MultTable,
     first, inverse images come from ``mt.inverses``, and the output is sorted,
     so it is the lexicographic order of assignments and does not depend on
     the relator order.
+
+    Conjugating by g in the centralizer C(a) fixes a, so it maps the
+    assignments (a, tail) among themselves, again keeping both tests: a
+    relator evaluates to the conjugate of its old value, and the images
+    generate the conjugate of the old subgroup.  So once a tail survives the
+    relators, one generation test answers for its whole C(a)-orbit, and a
+    tail of a known orbit skips the relator test too.
     """
     rank = pres.rank
     total = mt.size ** rank
@@ -822,25 +855,38 @@ def find_epimorphisms(pres: Presentation, mt: MultTable,
     if rank == 0:
         return [()] if mt.size == 1 else []
     table, inv, e = mt.table, mt.inverses, mt.identity
+    inverse_of = inv.__getitem__
     # letter x reads slot x - 1 of [images..., inverse images...]
     relators = [[x - 1 if x > 0 else rank - x - 1 for x in rel]
                 for rel in sorted(pres.relators, key=len)]
+    classes = _conjugacy_classes(mt)
+    class_of = {b: members for _, members, _ in classes for b in members}
     out = []
-    for a, transversal in _conjugacy_classes(mt):
+    for a, transversal, centralizer in classes:
+        head, inv_a = (a,), (inv[a],)
+        known: dict[tuple[int, ...], bool] = {}
         for tail in product(range(mt.size), repeat=rank - 1):
-            assign = (a,) + tail
-            slots = assign + tuple(inv[x] for x in assign)
-            for rel in relators:
-                acc = e
-                for k in rel:
-                    acc = table[acc][slots[k]]
-                if acc != e:
-                    break
-            else:
-                if mt.generates(assign):
-                    out.extend(tuple(table[table[g][x]][inv[g]]
-                                     for x in assign)
-                               for g in transversal.values())
+            generates = known.get(tail)
+            if generates is None:
+                slots = head + tail + inv_a + tuple(map(inverse_of, tail))
+                for rel in relators:
+                    acc = e
+                    for k in rel:
+                        acc = table[acc][slots[k]]
+                    if acc != e:
+                        break
+                else:
+                    generates = mt.generates(head + tail)
+                    if rank == 2 and len(centralizer) == mt.size:
+                        orbit = ((b,) for b in class_of[tail[0]])
+                    else:
+                        orbit = (tuple(table[table[g][x]][inv[g]]
+                                       for x in tail) for g in centralizer)
+                    known.update(dict.fromkeys(orbit, generates))
+            if generates:
+                out.extend((b,) + tuple(table[table[g][x]][inv[g]]
+                                        for x in tail)
+                           for b, g in transversal.items())
     out.sort()
     return out
 

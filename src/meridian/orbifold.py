@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .abelian import AbelianGroup, abelian_invariants, surjects_onto
+from .abelian import AbelianGroup, quotient_invariants, surjects_onto
 from .charvar import FiniteTorusVariety, RankOneVariety
 from .cosets import SubgroupSpec, schreier_rewrite, todd_coxeter
 from .fpgroups import (InputError, Presentation, commutator, multiply, power,
@@ -181,7 +181,13 @@ def classify(sig: OrbifoldSignature) -> Classification:
 
 
 def _spherical_abelianization(ms: tuple[int, ...]) -> AbelianGroup:
-    return abelian_invariants(orbifold_presentation(OrbifoldSignature(0, 0, ms)))
+    """Abelianization of the closed genus-0 orbifold group with
+    multiplicities m_1..m_s, read off the exponent rows of its presentation
+    without building it: m_j e_j for j < s, and m_s (1, ..., 1)."""
+    dim = len(ms) - 1
+    rows = [[m if i == j else 0 for i in range(dim)]
+            for j, m in enumerate(ms[:-1])]
+    return quotient_invariants(rows + [[ms[-1]] * dim], dim)
 
 
 class CandidateReport:

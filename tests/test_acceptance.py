@@ -120,7 +120,7 @@ def test_acceptance_2_zvk_pipeline(newbraid):
     ab5 = abelianization(quintic)
     assert (ab5.rank, ab5.torsion) == (0, (5,))
 
-    _, center, invariants = regular_rep_and_center(table)
+    center, invariants = regular_rep_and_center(table)
     assert len(center) == 4
     assert invariants.torsion == (2, 2)
     print("ACCEPTANCE 2 PASS: abelianization Z; projective quotient of order"

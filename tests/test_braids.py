@@ -26,7 +26,13 @@ from meridian.fpgroups import (
     reduce_word,
     tietze_simplify,
 )
-from meridian.cosets import todd_coxeter
+from meridian.cosets import (
+    CosetOverflow,
+    dihedral_table,
+    find_epimorphisms,
+    regular_rep_and_center,
+    todd_coxeter,
+)
 from conftest import random_word
 
 
@@ -306,8 +312,8 @@ class TestMonodromyFormat:
 
 
 @st.composite
-def monodromies(draw):
-    strands = draw(st.integers(1, 6))
+def monodromies(draw, max_strands=6):
+    strands = draw(st.integers(1, max_strands))
     letters = [x for x in range(1 - strands, strands) if x]
     words = st.lists(st.sampled_from(letters), max_size=10) if letters \
         else st.just([])
@@ -341,3 +347,42 @@ def test_abelianization_is_free_on_strand_orbits(monodromy):
         for pres in (raw, tietze_simplify(raw).presentation):
             ab = abelianization(pres)
             assert (ab.rank, ab.torsion) == (orbits, ())
+
+
+def _finite_invariants(strands, words, reduction):
+    """Epimorphisms onto S3 and D10, and the order and center of the
+    quotient by every g_i^2 when it enumerates within a small cap."""
+    pres = zvk_presentation(
+        strands, [(f"b{i}", w) for i, w in enumerate(words)], reduction)
+    epis = [find_epimorphisms(pres, dihedral_table(n)) for n in (6, 10)]
+    squares = pres.with_relators([(g, g) for g in range(1, strands + 1)])
+    try:
+        table = todd_coxeter(squares, max_cosets=400)
+    except CosetOverflow:
+        return epis, None
+    center, invariants = regular_rep_and_center(table)
+    return epis, (table.index, tuple(center), invariants)
+
+
+@settings(max_examples=60)
+@given(monodromies(max_strands=4), st.data())
+def test_finite_invariants_under_monodromy_moves(monodromy, data):
+    """Reordering the braids, inverting one and a Hurwitz move keep the
+    subgroup of B_n they generate, so the affine group and its generators
+    are the same: the epimorphism lists and the centers must be equal."""
+    strands, named = monodromy
+    words = [w for _, w in named]
+    variants = [words, [words[i] for i in data.draw(
+        st.permutations(range(len(words))))]]
+    if words:
+        j = data.draw(st.integers(0, len(words) - 1))
+        variants.append(words[:j] + [words[j].inverse()] + words[j + 1:])
+    if len(words) >= 2:
+        i = data.draw(st.integers(0, len(words) - 2))
+        b, c = words[i], words[i + 1]
+        variants.append(words[:i] + [c, c.inverse() * b * c] + words[i + 2:])
+    results = [_finite_invariants(strands, v, reduction)
+               for v in variants for reduction in ("none", "block")]
+    assert all(epis == results[0][0] for epis, _ in results)
+    centers = {center for _, center in results if center is not None}
+    assert len(centers) <= 1

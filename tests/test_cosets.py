@@ -9,7 +9,7 @@ import reference_cosets
 import reference_felsch
 from reference_epimorphisms import closure
 from meridian.abelian import AbelianGroup, abelianization, quotient_invariants
-from meridian.cli import parse_subgroup_spec
+from meridian.cli import parse_subgroup_spec, preset_text
 from meridian.cosets import (
     CosetOverflow,
     InvalidSubgroup,
@@ -29,7 +29,9 @@ from meridian.cosets import (
     schreier_rewrite,
     todd_coxeter,
 )
-from meridian.fpgroups import Presentation, parse_presentation, parse_words
+from meridian.fpgroups import (Presentation, commutator, parse_presentation,
+                               parse_words)
+from meridian.orbifold import orbifold_presentation, parse_signature
 
 
 def perm_closure_order(gens, degree):
@@ -154,7 +156,8 @@ def _perm_order(p):
 class TestRegularRep:
     def test_degtyarev_center_is_klein(self, presets):
         table = todd_coxeter(presets["degtyarev-projective"])
-        mt, center, invariants = regular_rep_and_center(table)
+        mt = regular_rep(table)
+        center, invariants = regular_rep_and_center(table)
         assert mt.size == 320
         assert len(center) == 4
         assert invariants.torsion == (2, 2)
@@ -162,13 +165,13 @@ class TestRegularRep:
 
     def test_cyclic_center(self):
         pres = parse_presentation("gens x; rel x^5;")
-        _, center, invariants = regular_rep_and_center(todd_coxeter(pres))
+        center, invariants = regular_rep_and_center(todd_coxeter(pres))
         assert len(center) == 5
         assert invariants.torsion == (5,)
 
     def test_odd_dihedral_center_trivial(self):
         pres = parse_presentation("gens x y; rel x^2; rel y^5; rel (x*y)^2;")
-        _, center, invariants = regular_rep_and_center(todd_coxeter(pres))
+        center, invariants = regular_rep_and_center(todd_coxeter(pres))
         assert len(center) == 1
         assert invariants.torsion == ()
 
@@ -197,6 +200,57 @@ class TestRegularRep:
         table = todd_coxeter(pres, SubgroupSpec.from_words([(1,)]))
         with pytest.raises(ValueError):
             regular_rep(table)
+
+
+def _assert_center_as_in_full_table(table):
+    """The center from generator rows against the center of the whole
+    multiplication table and the invariants read from it."""
+    mt = regular_rep(table)
+    center, invariants = regular_rep_and_center(table)
+    assert center == center_of(mt)
+    assert invariants == abelian_invariants_of_subset(mt, center)
+    return center, invariants
+
+
+@st.composite
+def finite_presentations(draw):
+    """2-3 generators of orders dividing 2, 3 or 4, and powers of short
+    random words; a third generator is sometimes made central, so centers
+    larger than the ones of small quotients of triangle groups come up."""
+    rank = draw(st.integers(2, 3))
+    letters = [x for x in range(-rank, rank + 1) if x]
+    relators = [(g,) * draw(st.integers(2, 4)) for g in range(1, rank + 1)]
+    word = st.lists(st.sampled_from(letters), min_size=2, max_size=4)
+    relators += [tuple(w) * k for w, k in draw(st.lists(
+        st.tuples(word, st.integers(2, 4)), min_size=1, max_size=3))]
+    if rank == 3 and draw(st.booleans()):
+        relators += [commutator((3,), (g,)) for g in (1, 2)]
+    names = tuple(f"g{i}" for i in range(1, rank + 1))
+    return Presentation(names, tuple(relators))
+
+
+@settings(max_examples=200)
+@given(finite_presentations())
+def test_center_from_generator_rows(pres):
+    try:
+        table = todd_coxeter(pres, max_cosets=2000)
+    except CosetOverflow:
+        assume(False)
+    _assert_center_as_in_full_table(table)
+
+
+@pytest.mark.parametrize("pres, order, torsion", [
+    (Presentation((), ()), 1, ()),
+    (parse_presentation("gens x y; rel x^4; rel y^6; rel [x,y];"), 24, (2, 12)),
+    (parse_presentation("gens x y; rel x^4; rel x^2*y^-2; rel y^-1*x*y*x;"),
+     2, (2,)),
+    (orbifold_presentation(parse_signature("g=0 k=0 m=2,3,5")), 1, ()),
+    (parse_presentation(preset_text("degtyarev-projective", ".grp")),
+     4, (2, 2)),
+], ids=["trivial", "Z4xZ6", "Q8", "A5", "degtyarev-projective"])
+def test_center_fixed_cases(pres, order, torsion):
+    center, invariants = _assert_center_as_in_full_table(todd_coxeter(pres))
+    assert (len(center), invariants.torsion) == (order, torsion)
 
 
 class TestReidemeisterSchreier:

@@ -6,6 +6,7 @@ the survivors, so on non-abelian targets a wrong conjugation or a missing
 sort shows up as a different list.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,8 @@ TARGETS = {
     **{f"cyclic-{n}": cyclic_table(n) for n in range(1, 9)},
     "S3": _regular("gens x y; rel x^2; rel y^3; rel (x*y)^2;"),
     "Q8": _regular("gens x y; rel x^4; rel x^2*y^-2; rel y^-1*x*y*x;"),
+    # relator survivors that do not generate, centralizers beyond the center
+    "A4": _regular("gens x y; rel x^2; rel y^3; rel (x*y)^3;"),
 }
 
 
@@ -78,6 +81,17 @@ def test_degtyarev_320(presets, target_320):
               for line in lines[1:]]
     assert len(golden) == 20
     assert found[:20] == golden
+
+
+def test_degtyarev_320_whole_answer(presets, target_320):
+    """All 3840 assignments: SHA-256 of one line "x y" per assignment, in
+    sorted order, recorded from a search that tested generation for every
+    assignment that survives the relators."""
+    found = find_epimorphisms(presets["degtyarev-affine"], target_320)
+    text = "".join(" ".join(map(str, a)) + "\n" for a in found)
+    assert len(found) == 3840
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5736f120c8dd40b75383e1b2d6856eb83131a5cf9812e581edc322f2000df203")
 
 
 @pytest.mark.parametrize("name, rank", [

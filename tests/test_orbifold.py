@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from meridian.abelian import AbelianGroup, abelianization
+from meridian.abelian import (AbelianGroup, abelian_invariants, abelianization,
+                              surjects_onto)
 from meridian.charvar import characteristic_variety
 from meridian.cosets import todd_coxeter
 from meridian.fpgroups import parse_presentation, print_presentation
@@ -144,6 +145,23 @@ class TestObstructFinite:
     def test_infinite_abelianization_rejected(self):
         with pytest.raises(ValueError):
             obstruct_finite(10, AbelianGroup(1, ()))
+
+    def test_candidates_against_their_presentations(self):
+        """Each candidate's abelianization, read off its exponent rows in
+        closed form, against the abelianization of its presentation, for
+        every candidate of every order 2..400."""
+        targets = {}
+        for order in range(2, 401):
+            for ab in (AbelianGroup(0, ()), AbelianGroup(0, (4,)),
+                       AbelianGroup(0, (2, 2))):
+                for c in obstruct_finite(order, ab).candidates:
+                    if c.signature not in targets:
+                        targets[c.signature] = abelian_invariants(
+                            orbifold_presentation(c.signature))
+                    target = targets[c.signature]
+                    assert c.survives == surjects_onto(ab, target)
+                    assert c.reason.endswith(f"onto {target}")
+        assert len(targets) == 198 + 3
 
 
 class TestObstructInfinite:
