@@ -28,7 +28,7 @@ from .fpgroups import (
     print_presentation,
     tietze_simplify,
 )
-from .nilpotent import fewest_generators, lcs_quotients
+from .nilpotent import TOP, lcs_quotients
 
 OK, NEGATIVE, INPUT_ERROR, RESOURCE_LIMIT, INTERNAL_FAULT = 0, 1, 2, 3, 70
 
@@ -300,9 +300,7 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_lcs(args) -> int:
-    pres = load_presentation(args)
-    graded = lcs_quotients(fewest_generators(pres) or _simplify(pres, "lcs"),
-                           args.max_class)
+    graded = lcs_quotients(load_presentation(args), args.max_class)
     lines = []
     doc = {}
     for d in range(1, args.max_class + 1):
@@ -551,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs", help="lower central series quotients")
     add_source(p)
     p.add_argument("--class", dest="max_class", type=int, default=3,
-                   choices=(1, 2, 3))
+                   choices=range(1, TOP + 1))
     p.set_defaults(func=cmd_lcs)
 
     p = sub.add_parser("orbifold", help="orbifold group and classification")

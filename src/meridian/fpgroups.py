@@ -133,14 +133,13 @@ class Presentation:
     """A finite presentation: generator names plus relator words.
 
     Relators are stored freely and cyclically reduced; empty and duplicate
-    relators are dropped at construction (``dropped`` counts them).
-    Equality and hashing ignore ``dropped``.
+    relators are dropped at construction.
     """
 
-    __slots__ = ("generators", "relators", "dropped")
+    __slots__ = ("generators", "relators")
 
     def __init__(self, generators: tuple[str, ...],
-                 relators: tuple[Word, ...], dropped: int = 0):
+                 relators: tuple[Word, ...]):
         if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
         n = len(generators)
@@ -153,13 +152,11 @@ class Presentation:
                     f"relator uses generator index beyond the {n} declared")
             key = _relator_key(rel)
             if not rel or key in seen:
-                dropped += 1
                 continue
             seen.add(key)
             cleaned.append(rel)
         self.generators = generators
         self.relators = tuple(cleaned)
-        self.dropped = dropped
 
     def __eq__(self, other):
         return (isinstance(other, Presentation)
@@ -291,7 +288,6 @@ class _Parser:
         gens: list[str] = []
         index: dict[str, int] = {}
         relators: list[Word] = []
-        dropped = 0
         while self.peek() is not None:
             tok, line, col = self.next()
             if tok == "gens":
@@ -311,13 +307,10 @@ class _Parser:
                     rhs = self.parse_word(index)
                     lhs = multiply(lhs, invert(rhs))
                 self.expect(";")
-                if cyclic_reduce(lhs):
-                    relators.append(lhs)
-                else:
-                    dropped += 1
+                relators.append(lhs)
             else:
                 raise ParseError(f"expected 'gens' or 'rel', found {tok!r}", line, col)
-        return Presentation(tuple(gens), tuple(relators), dropped=dropped)
+        return Presentation(tuple(gens), tuple(relators))
 
     def parse_word(self, index) -> Word:
         factors = [self.parse_factor(index)]

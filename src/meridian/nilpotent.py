@@ -60,7 +60,6 @@ from collections import namedtuple
 
 from .abelian import (
     AbelianGroup,
-    abelian_invariants,
     exponent_matrix,
     hermite_basis,
     hermite_invariants,
@@ -204,35 +203,20 @@ class GradedQuotient(namedtuple("GradedQuotient", "degrees")):
         return self.degrees[d - 1]
 
 
-def fewest_generators(pres: Presentation) -> Presentation | None:
-    """A presentation of the group on d(H1) generators, reached by
-    ``fpgroups.eliminate_generators`` alone, or None if they stop above it.
-
-    d(H1) is the rank plus the number of torsion factors of the
-    abelianization H1.  No presentation of the group has fewer generators:
-    they would map onto generators of H1, and H1 needs d(H1) of them.  So
-    at d(H1) ``tietze_simplify`` could only shorten relators.  The graded
-    quotients of ``lcs_quotients`` are invariants of the group and cost
-    more with each generator, so this is the input they need; on None,
-    callers fall back to ``tietze_simplify``.
-    """
-    out = eliminate_generators(pres).presentation
-    ab = abelian_invariants(out)
-    return out if out.rank == ab.rank + len(ab.torsion) else None
-
-
 def lcs_quotients(pres: Presentation, max_class: int = 3) -> GradedQuotient:
     """Graded lower-central-series quotients of the presented group.
 
     Degree 1 is the abelianization; degrees 2 and 3 quotient the free Lie
     ring lattices by the graded image of the relation subgroup, per the
-    module docstring.  They are invariants of the group, so any presentation
-    of it gives the same answer; the work grows with the number n of
-    generators (n^3 / 3 degree-3 columns and n rows per relator), so callers
-    pass ``fewest_generators`` or a Tietze-simplified presentation.
+    module docstring.  They are invariants of the group, so callers pass any
+    presentation of it.  The work grows with the number n of generators
+    (n^3 / 3 degree-3 columns and n rows per relator), so the quotients are
+    computed on ``fpgroups.eliminate_generators`` of it: Tietze moves, which
+    keep the group.
     """
     if not 1 <= max_class <= TOP:
         raise ValueError("supported classes are 1, 2 and 3")
+    pres = eliminate_generators(pres).presentation
     n = pres.rank
     matrix = exponent_matrix(pres)
     out = [quotient_invariants(matrix, n)]

@@ -17,9 +17,8 @@ from fractions import Fraction
 from .abelian import AbelianGroup, quotient_invariants, surjects_onto
 from .charvar import FiniteTorusVariety, RankOneVariety
 from .cosets import SubgroupSpec, schreier_rewrite, todd_coxeter
-from .fpgroups import (InputError, Presentation, commutator, multiply, power,
-                       tietze_simplify)
-from .nilpotent import fewest_generators, lcs_quotients
+from .fpgroups import InputError, Presentation, commutator, multiply, power
+from .nilpotent import lcs_quotients
 
 
 class OrbifoldSignature:
@@ -224,17 +223,13 @@ def obstruct_finite(order: int, ab: AbelianGroup) -> ObstructionReport:
     if ab.rank:
         raise InputError("expected a finite abelianization")
     reports: list[CandidateReport] = []
-    candidates: list[tuple[int, ...]] = []
-    n = 3
-    while 2 * n <= order:
-        if order % (2 * n) == 0:
-            candidates.append((2, 2, n))
-        n += 1
-    candidates += [ms for ms, o in (((2, 3, 3), 12), ((2, 3, 4), 24),
-                                    ((2, 3, 5), 60)) if order % o == 0]
-    for ms in candidates:
+    # (multiplicities, group order): 2n for (2,2,n), then the triangle groups
+    candidates = [((2, 2, n), 2 * n) for n in range(3, order // 2 + 1)]
+    candidates += [((2, 3, 3), 12), ((2, 3, 4), 24), ((2, 3, 5), 60)]
+    for ms, target_order in candidates:
+        if order % target_order:
+            continue
         sig = OrbifoldSignature(0, 0, ms)
-        target_order = classify(sig).order
         target_ab = _spherical_abelianization(ms)
         if not surjects_onto(ab, target_ab):
             reports.append(CandidateReport(
@@ -325,8 +320,7 @@ def obstruct_infinite_rank_one(pres: Presentation,
     else:
         spec = SubgroupSpec.kernel_of((10,), [(i[-1] % 10,)
                                               for i in ab.gen_images])
-    raw, _ = schreier_rewrite(pres, todd_coxeter(pres, spec))
-    kernel = fewest_generators(raw) or tietze_simplify(raw).presentation
+    kernel, _ = schreier_rewrite(pres, todd_coxeter(pres, spec))
     k_lcs = lcs_quotients(kernel)
     t_lcs = lcs_quotients(orbifold_presentation(OrbifoldSignature(2)))
     k_ab, t_ab = k_lcs.degree(1), t_lcs.degree(1)

@@ -603,6 +603,18 @@ class TestDeterminismAndJson:
         assert (out.returncode, out.stderr) == (1, b"")
         assert out.stdout == (TEST_GOLDEN / golden).read_bytes()
 
+    @pytest.mark.parametrize("p,q", [(2, 5), (2, 15), (2, 25), (4, 5)])
+    def test_obstruct_keeps_a_target_the_group_maps_onto(self, tmp_path,
+                                                         capsys, p, q):
+        # <x, y | x^p = y^q> with 2 | p and 5 | q maps onto P1(2,5,10) =
+        # <x, y | x^2, y^5, (xy)^10>, so no invariant may exclude it
+        path = tmp_path / "torus.grp"
+        path.write_text(f"gens x y; rel x^{p} = y^{q};")
+        assert cli.main(["obstruct", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "  target g=0 k=0 m=2,5,10: not excluded\n" in out
+
     def test_obstruct_on_cyclic_finite_abelianization(self):
         # P1(2,5,10) itself, abelianization Z/10: not excluded
         out = subprocess.run(MODULE + ["obstruct", "--preset", "p1-2-5-10"],
@@ -612,11 +624,13 @@ class TestDeterminismAndJson:
             (TEST_GOLDEN / "obstruct-p1-2-5-10.out").read_bytes()
 
     @pytest.mark.parametrize("argv,ranks", [
-        # affine, projective and meridian^5; the index-10 kernel of the
-        # infinite-orbifold obstruction reaches d(H1) by eliminations
+        # affine, projective and meridian^5; the LCS stage reduces the
+        # index-10 kernel of the infinite-orbifold obstruction by generator
+        # eliminations alone, as it does every `lcs` input
         (["pipeline", "--preset", "degtyarev"], [3, 3, 3]),
-        # no letter is isolated, and rank 4 = d(Z^4)
         (["lcs", "--class", "3", "--preset", "genus2"], []),
+        (["lcs", "--class", "3", str(INPUTS / "kernel-4.grp")], []),
+        (["lcs", "--class", "3", str(INPUTS / "kernel-6.grp")], []),
     ])
     def test_tietze_calls(self, monkeypatch, capsys, argv, ranks):
         simplified = count_calls(monkeypatch, tietze_simplify)
@@ -726,28 +740,12 @@ class TestDeterminismAndJson:
         raw = zvk_presentation(mono.strands, mono.braids, "block")
         assert out == print_presentation(tietze_simplify(raw, 1).presentation)
 
-    def test_lcs_notes_tietze_budget_stop(self, monkeypatch, capsys):
-        # the graded quotients are group invariants, so a simplification cut
-        # short still gives the raw presentation's answer
-        monkeypatch.setattr(cli, "tietze_simplify",
-                            lambda pres, budget=10000: tietze_simplify(pres, 1))
-        argv = ["lcs", "--class", "3", str(INPUTS / "kernel-6.grp")]
-        assert cli.main(argv) == 0
-        out, err = capsys.readouterr()
-        assert err == ("note: Tietze simplification of the lcs presentation"
-                       " stopped at its budget after 1 moves; more moves were"
-                       " available\n")
-        assert out == (GOLDEN / "lcs-raw-kernel-6.out").read_text()
-
-    def test_lcs_simplifies_once_and_computes_once(self, monkeypatch, capsys):
-        simplified = count_calls(monkeypatch, tietze_simplify)
+    def test_lcs_computes_once_on_its_input(self, monkeypatch, capsys):
         graded = count_calls(monkeypatch, meridian.nilpotent.lcs_quotients)
-        argv = ["lcs", "--class", "3", str(INPUTS / "kernel-4.grp")]
-        assert cli.main(argv) == 0
+        path = INPUTS / "kernel-4.grp"
+        assert cli.main(["lcs", "--class", "3", str(path)]) == 0
         assert capsys.readouterr().err == ""
-        assert len(simplified) == 1
-        assert graded == [tietze_simplify(simplified[0]).presentation]
-        assert graded[0].rank < simplified[0].rank
+        assert graded == [parse_presentation(path.read_text())]
 
     def test_pipeline_on_table1(self):
         out = run("pipeline", "--preset", "degtyarev-table1")

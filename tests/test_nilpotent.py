@@ -9,6 +9,7 @@ from meridian.abelian import (
     abelianization,
     quotient_invariants,
 )
+from meridian.braids import parse_monodromy, zvk_presentation
 from meridian.cli import preset_text
 from meridian.cosets import (
     SubgroupSpec,
@@ -19,6 +20,7 @@ from meridian.cosets import (
 from meridian.fpgroups import (
     Presentation,
     commutator,
+    eliminate_generators,
     multiply,
     parse_presentation,
     power,
@@ -28,7 +30,6 @@ from meridian.nilpotent import (
     Truncated,
     _bracket,
     _times_letter,
-    fewest_generators,
     free_lie_ranks,
     lcs_quotients,
     lyndon_words,
@@ -213,17 +214,6 @@ class TestLcsQuotients:
             lcs_quotients(presets["genus2"], max_class=4)
 
 
-@settings(max_examples=200)
-@given(st.randoms())
-def test_quotients_of_simplified_presentation(rng):
-    # `meridian lcs` computes on the Tietze-simplified presentation; the
-    # graded quotients are invariants of the group, so nothing may change
-    pres = random_presentation(rng)
-    simplified = tietze_simplify(pres).presentation
-    for c in (1, 2, 3):
-        assert lcs_quotients(pres, c) == lcs_quotients(simplified, c)
-
-
 def labute_ranks(n):
     """Ranks of the graded quotients of degree 1..3 of a one-relator group
     on n generators whose relator lies in gamma_2 with a degree-2 initial
@@ -309,41 +299,49 @@ def test_matches_reference_route(pres):
             reference_lcs.lcs_quotients(pres, c)
 
 
-def affine_kernel(n):
-    """The raw Schreier presentation of the kernel of x, y -> 1 in Z/n on
-    ``degtyarev-affine``."""
-    pres = parse_presentation(preset_text("degtyarev-affine", ".grp"))
-    table = todd_coxeter(pres, SubgroupSpec.kernel_of((n,), [(1,), (1,)]))
+def raw_kernel(pres, n):
+    """The raw Schreier presentation of the kernel of every generator -> 1
+    in Z/n."""
+    table = todd_coxeter(pres, SubgroupSpec.kernel_of((n,), [(1,)] * pres.rank))
     return schreier_rewrite(pres, table)[0]
 
 
-def check_lcs_input(pres):
-    # the LCS input of `meridian lcs` and of the infinite-orbifold
-    # obstruction: the eliminations when they reach d(H1), else Tietze
-    fewest = fewest_generators(pres)
+def check_lcs_route(pres):
+    # `lcs_quotients` computes on the generator eliminations of whatever it
+    # is given; Tietze reaches another presentation of the group, and the
+    # graded quotients are invariants of the group
     simplified = tietze_simplify(pres).presentation
-    stage = fewest or simplified
-    assert stage.rank <= simplified.rank
-    if fewest is not None:
-        ab = abelian_invariants(pres)
-        assert fewest.rank == ab.rank + len(ab.torsion)
     for c in (1, 2, 3):
-        assert lcs_quotients(stage, c) == lcs_quotients(simplified, c)
+        assert lcs_quotients(pres, c) == lcs_quotients(simplified, c)
+
+
+@settings(max_examples=200)
+@given(st.randoms())
+def test_quotients_of_simplified_presentation(rng):
+    check_lcs_route(random_presentation(rng))
 
 
 @settings(max_examples=200)
 @given(st.randoms())
 def test_fewest_generators_keep_the_quotients(rng):
-    check_lcs_input(random_presentation(rng))
+    # the elimination stage that `lcs_quotients` computes on, against the
+    # reference route read on the raw presentation, with no eliminations
+    pres = random_presentation(rng)
+    stage = eliminate_generators(pres).presentation
+    assert stage.rank <= pres.rank
+    assert abelian_invariants(stage) == abelian_invariants(pres)
+    for c in (2, 3):
+        assert reference_lcs.lcs_quotients(stage, c) == \
+            reference_lcs.lcs_quotients(pres, c)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_fewest_generators_of_affine_kernels(n):
-    check_lcs_input(affine_kernel(n))
+@pytest.mark.parametrize("n", range(2, 13))
+def test_lcs_of_affine_kernels(presets, n):
+    check_lcs_route(raw_kernel(presets["degtyarev-affine"], n))
 
 
-def test_fewest_generators_reach_the_pipeline_kernel(presets):
-    # the index-10 kernel of the infinite-orbifold obstruction: 11 Schreier
-    # generators, H1 = Z^5
-    assert fewest_generators(affine_kernel(10)).rank == 5
-    assert fewest_generators(presets["genus2"]) == presets["genus2"]
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lcs_of_newbraid_kernels(n):
+    mono = parse_monodromy(preset_text("degtyarev-newbraid", ".braid"))
+    check_lcs_route(raw_kernel(
+        zvk_presentation(mono.strands, mono.braids, "block"), n))

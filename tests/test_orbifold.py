@@ -147,9 +147,9 @@ class TestObstructFinite:
             obstruct_finite(10, AbelianGroup(1, ()))
 
     def test_candidates_against_their_presentations(self):
-        """Each candidate's abelianization, read off its exponent rows in
-        closed form, against the abelianization of its presentation, for
-        every candidate of every order 2..400."""
+        """Each candidate's order and abelianization, both in closed form,
+        against its classification and the abelianization of its
+        presentation, for every candidate of every order 2..400."""
         targets = {}
         for order in range(2, 401):
             for ab in (AbelianGroup(0, ()), AbelianGroup(0, (4,)),
@@ -159,6 +159,7 @@ class TestObstructFinite:
                         targets[c.signature] = abelian_invariants(
                             orbifold_presentation(c.signature))
                     target = targets[c.signature]
+                    assert c.order == classify(c.signature).order
                     assert c.survives == surjects_onto(ab, target)
                     assert c.reason.endswith(f"onto {target}")
         assert len(targets) == 198 + 3

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_tietze
-from meridian import cli, fpgroups, orbifold
+from meridian import cli, fpgroups
 from meridian.abelian import abelian_invariants, abelianization
 from meridian.braids import zvk_presentation
 from meridian.cosets import (
@@ -271,8 +271,8 @@ def test_kernel_matches_reference(presets):
 
 def test_table1_kernel_matches_golden():
     # The index-10 kernel of the pipeline's infinite-orbifold obstruction
-    # for degtyarev-table1 (which reaches d(H1) by eliminations and so
-    # skips Tietze there), the largest input of this file.
+    # for degtyarev-table1 (whose LCS stage reduces it by eliminations, not
+    # Tietze), the largest input of this file.
     # reference_tietze gives the golden too, but takes minutes.
     mono = cli.load_monodromy("degtyarev-table1")
     raw = zvk_presentation(mono.strands, mono.braids, "block")
@@ -288,6 +288,16 @@ def test_table1_kernel_matches_golden():
         (5, 21)
     golden = Path(__file__).parent / "golden" / "tietze-table1-kernel-10.grp"
     assert print_presentation(result.presentation) == golden.read_text()
+
+
+def test_eliminations_reach_the_pipeline_kernel(presets):
+    # the index-10 kernel of the infinite-orbifold obstruction: its 11
+    # Schreier generators go down to 5, the rank of its H1 = Z^5, which no
+    # presentation of it undercuts; genus2 has no generator to eliminate
+    raw, _ = schreier_rewrite(*affine_kernel(presets, 10))
+    assert (raw.rank, eliminate_generators(raw).presentation.rank) == (11, 5)
+    assert eliminate_generators(presets["genus2"]) == \
+        TietzeResult(presets["genus2"], True, 0)
 
 
 def test_substitutions_outlive_eliminations(presets, monkeypatch):
@@ -388,9 +398,9 @@ def test_memos_follow_random_relators(pres):
 
 
 def test_pipeline_step_counts(monkeypatch):
-    # the affine, projective and meridian^5 presentations; the index-10
-    # kernel of the infinite-orbifold obstruction reaches d(H1) = 5 by
-    # eliminations alone and is not Tietze-simplified
+    # the affine, projective and meridian^5 presentations; the LCS stage
+    # reduces the index-10 kernel of the infinite-orbifold obstruction by
+    # generator eliminations, and never Tietze-simplifies it
     steps = []
 
     def recording(pres, budget=fpgroups.TIETZE_BUDGET):
@@ -398,7 +408,7 @@ def test_pipeline_step_counts(monkeypatch):
         steps.append(result.steps)
         return result
 
-    for module in (fpgroups, cli, orbifold):
+    for module in (fpgroups, cli):
         monkeypatch.setattr(module, "tietze_simplify", recording)
     assert cli.main(["pipeline", "--preset", "degtyarev"]) == 0
     assert steps == [4, 11, 4]
