@@ -8,7 +8,11 @@ character xi has differentials
 
 where d/dg_j is the Fox derivative pushed down to the group ring of the
 abelianization and then evaluated at xi.  The k-th characteristic variety is
-the locus of characters where dim H_1 of this complex is at least k.
+the locus of characters where dim H_1 of this complex is at least k.  The
+generators generate the group, so d1 has rank 1 exactly when xi is
+nontrivial, and only d2 needs a rank: at a character of order d it is a
+matrix of integer polynomials in zeta_d, ranked over Q(zeta_d) by
+``exactalg.matrix_rank``.
 
 Group-ring elements are dicts mapping canonical-coordinate tuples of the
 abelianization to integers.
@@ -16,16 +20,14 @@ abelianization to integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, count
 
 from .abelian import AbelianGroup, Character, abelianization, characters_of_order_dividing
 from .exactalg import (
-    CycloNumber,
-    FieldMatrix,
     UniPoly,
     cyclotomic_factors,
     cyclotomic_polynomial,
-    euler_phi,
     matrix_rank,
     poly_det,
     poly_gcd,
@@ -80,26 +82,12 @@ def fox_derivative(w: Word, k: int, group: AbelianGroup) -> GroupRingElt:
     return out
 
 
-def word_image(w: Word, group: AbelianGroup) -> GroupRingElt:
-    """The group-ring monomial of the abelianized word, as an element."""
-    return {group.image_of_word(w): 1}
-
-
 def fox_matrix(pres: Presentation, group: AbelianGroup
                ) -> list[list[GroupRingElt]]:
     """Relator-by-generator matrix of abelianized Fox derivatives; ``group``
     is the abelianization of ``pres``."""
     return [[fox_derivative(rel, j, group) for j in range(1, pres.rank + 1)]
             for rel in pres.relators]
-
-
-def evaluate_elt(elt: GroupRingElt, xi: Character) -> CycloNumber:
-    """Evaluate a group-ring element at a torsion character, in Q(zeta_N)."""
-    n = xi.modulus
-    out = CycloNumber.rational(n, 0)
-    for mono, coeff in elt.items():
-        out = out + CycloNumber.zeta(n, xi.value_exponent(mono)) * coeff
-    return out
 
 
 def _check_character(group: AbelianGroup, xi: Character):
@@ -111,39 +99,24 @@ def _check_character(group: AbelianGroup, xi: Character):
                 f"coordinate of order {d} cannot map to zeta^{e} mod {xi.modulus}")
 
 
-class TwistedComplex:
-    """The twisted chain complex C_2 -> C_1 -> C_0 at a fixed character."""
+def _depth(fox: list[list[GroupRingElt]], rank: int, xi: Character) -> int:
+    """dim H_1 at xi of the complex whose d2 is the Fox matrix ``fox``.
 
-    __slots__ = ("character", "d1", "d2")
-
-    def __init__(self, character: Character, d1: list[CycloNumber],
-                 d2: FieldMatrix):
-        self.character = character
-        self.d1 = d1
-        self.d2 = d2
-
-    def h1_dim(self) -> int:
-        rank_d1 = 0 if all(e.is_zero() for e in self.d1) else 1
-        return len(self.d1) - rank_d1 - matrix_rank(self.d2)
-
-
-def twisted_complex(pres: Presentation, xi: Character,
-                    group: AbelianGroup | None = None) -> TwistedComplex:
-    if group is None:
-        group = abelianization(pres)
-    return _complex_at(fox_matrix(pres, group), pres.rank, group, xi)
-
-
-def _complex_at(fox: list[list[GroupRingElt]], rank: int, group: AbelianGroup,
-                xi: Character) -> TwistedComplex:
-    """The twisted complex at xi, evaluating a Fox matrix computed once."""
-    _check_character(group, xi)
-    n = xi.modulus
-    one = CycloNumber.rational(n, 1)
-    d1 = [evaluate_elt(word_image((i,), group), xi) - one
-          for i in range(1, rank + 1)]
-    rows = [[evaluate_elt(e, xi) for e in row] for row in fox]
-    return TwistedComplex(xi, d1, FieldMatrix(n, rows))
+    Each entry becomes an integer polynomial in zeta_d, d the order of xi: a
+    monomial with xi-value zeta_N^e, N the modulus of xi, is zeta_d^(e/(N/d)).
+    """
+    d = xi.order()
+    step = xi.modulus // d
+    rows = []
+    for row in fox:
+        out = []
+        for elt in row:
+            coeffs = [0] * d
+            for mono, c in elt.items():
+                coeffs[xi.value_exponent(mono) // step] += c
+            out.append(UniPoly(coeffs))
+        rows.append(out)
+    return rank - (d > 1) - matrix_rank(rows, d)
 
 
 def twisted_h1_dim(pres: Presentation, xi: Character) -> int:
@@ -152,7 +125,9 @@ def twisted_h1_dim(pres: Presentation, xi: Character) -> int:
     At the trivial character this is the first Betti number of the complex,
     i.e. the free rank of the abelianization.
     """
-    return twisted_complex(pres, xi).h1_dim()
+    group = abelianization(pres)
+    _check_character(group, xi)
+    return _depth(fox_matrix(pres, group), pres.rank, xi)
 
 
 # --- finite character torus ---------------------------------------------------
@@ -173,37 +148,36 @@ class FiniteTorusVariety:
         return [chi for chi, d in self.depths if d >= k]
 
     def describe(self, k: int) -> str:
-        return describe_character_set(self.stratum(k), self.modulus)
+        """Readable summary of V_k: '{1} u mu10-primitive' style.
+
+        An order d whose characters of the torus all lie in V_k is reported
+        as 'mu<d>-primitive'; any other character is listed as its exponent
+        tuple.
+        """
+        by_order: dict[int, list[Character]] = {}
+        for chi in self.stratum(k):
+            by_order.setdefault(chi.order(), []).append(chi)
+        if not by_order:
+            return "{}"
+        torus = Counter(chi.order() for chi, _ in self.depths)
+        parts = []
+        leftovers = []
+        for d in sorted(by_order):
+            if d == 1:
+                parts.append("{1}")
+            elif len(by_order[d]) == torus[d]:
+                parts.append(f"mu{d}-primitive")
+            else:
+                leftovers.extend(by_order[d])
+        if leftovers:
+            parts.append("{" + ", ".join(str(c.exponents) for c in leftovers)
+                         + "}")
+        return " u ".join(parts)
 
     def contains_primitive(self, k: int, order: int) -> bool:
         """Whether characters of exact order `order` exist, all in V_k."""
         depths = [d for chi, d in self.depths if chi.order() == order]
         return bool(depths) and min(depths) >= k
-
-
-def describe_character_set(chars: list[Character], modulus: int) -> str:
-    """Readable summary of a character set: '{1} u mu10-primitive' style.
-
-    Orders whose primitive characters all appear are reported as
-    'mu<d>-primitive'; anything else is listed as explicit exponent tuples.
-    """
-    if not chars:
-        return "{}"
-    by_order: dict[int, list[Character]] = {}
-    for chi in chars:
-        by_order.setdefault(chi.order(), []).append(chi)
-    parts = []
-    leftovers = []
-    for d in sorted(by_order):
-        if d == 1:
-            parts.append("{1}")
-        elif modulus % d == 0 and len(by_order[d]) == euler_phi(d):
-            parts.append(f"mu{d}-primitive")
-        else:
-            leftovers.extend(by_order[d])
-    if leftovers:
-        parts.append("{" + ", ".join(str(c.exponents) for c in leftovers) + "}")
-    return " u ".join(parts)
 
 
 def charvar_finite_torus(pres: Presentation,
@@ -221,8 +195,7 @@ def charvar_finite_torus(pres: Presentation,
     n = group.exponent()
     chars = characters_of_order_dividing(group, n)
     fox = fox_matrix(pres, group)
-    depths = [(xi, _complex_at(fox, pres.rank, group, xi).h1_dim())
-              for xi in chars]
+    depths = [(xi, _depth(fox, pres.rank, xi)) for xi in chars]
     return FiniteTorusVariety(group, n, depths)
 
 

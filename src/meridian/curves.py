@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactalg import BiPoly, UniPoly, discriminant_y
+from .exactalg import UniPoly, discriminant_y
 
 
 class MultiPoly:
@@ -274,8 +274,9 @@ class DiscriminantReport:
         self.proportional = proportional
 
 
-def quintic_fiber_polynomial(presets: dict) -> BiPoly:
-    """The affine quintic as a cubic in y over Q[x] (projective z set to 1)."""
+def quintic_fiber_polynomial(presets: dict) -> list[UniPoly]:
+    """The affine quintic as a cubic in y over Q[x] (projective z set to 1):
+    its coefficients in y, low degree first."""
     coeffs = []
     for cy in presets["quintic"].coefficients_in("y"):
         # remaining variables (x, z); set z = 1
@@ -288,7 +289,7 @@ def quintic_fiber_polynomial(presets: dict) -> BiPoly:
                 dense[exps[0]] += c
             acc = acc + UniPoly(dense)
         coeffs.append(acc)
-    return BiPoly(coeffs)
+    return coeffs
 
 
 def degtyarev_discriminant(presets: dict) -> DiscriminantReport:

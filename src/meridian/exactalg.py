@@ -1,15 +1,17 @@
 """Exact arithmetic: one polynomial core for Z[t] and Q[t], cyclotomic
-fields, ranks, resultants.
+polynomials, ranks over cyclotomic fields, resultants.
 
 A ``UniPoly`` coefficient is a Python ``int`` until a division that is not
 exact in Z makes it a ``fractions.Fraction``; every coefficient division goes
 through ``_divide``.  Integer polynomials (Fox minors, cyclotomic
-polynomials, residues mod Phi_N) so stay in Z[t], and rationals appear only
+polynomials, residues mod Phi_d) so stay in Z[t], and rationals appear only
 where Q[t] needs them: ``poly_gcd``, ``monic`` and rational input.  No
 floating point enters any computation.  The one determinant routine is
-``poly_det``, fraction-free Bareiss elimination.  Cyclotomic numbers live in
-Q[x]/Phi_N(x) and polynomials are dense coefficient lists with trailing
-zeros stripped.
+``poly_det``, fraction-free Bareiss elimination.  An element of Z[zeta_d] is
+an integer ``UniPoly`` in zeta read mod Phi_d, a matrix is a list of rows,
+and a polynomial in y over Z[x] is its list of ``UniPoly`` coefficients, low
+degree first.  Polynomials are dense coefficient lists with trailing zeros
+stripped.
 """
 
 from __future__ import annotations
@@ -283,140 +285,34 @@ def _cyclotomic_at_two(n: int) -> int:
     return num // den
 
 
-class CycloNumber:
-    """Element of Q(zeta_N), stored as its residue mod Phi_N."""
+def matrix_rank(rows: list[list[UniPoly]], order: int) -> int:
+    """Rank over Q(zeta_order) of a matrix of integer polynomials in zeta.
 
-    __slots__ = ("modulus", "rep")
-
-    def __init__(self, modulus: int, rep: UniPoly):
-        self.modulus = modulus
-        self.rep = rep % cyclotomic_polynomial(modulus)
-
-    @classmethod
-    def zeta(cls, modulus: int, exponent: int = 1) -> "CycloNumber":
-        return cls(modulus, UniPoly.monomial(exponent % modulus))
-
-    @classmethod
-    def rational(cls, modulus: int, value) -> "CycloNumber":
-        return cls(modulus, UniPoly.constant(value))
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("cyclotomic moduli differ")
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def __bool__(self):
-        return bool(self.rep)
-
-    def __eq__(self, other):
-        return (isinstance(other, CycloNumber)
-                and self.modulus == other.modulus and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash((self.modulus, self.rep))
-
-    def __add__(self, other):
-        self._check(other)
-        return CycloNumber(self.modulus, self.rep + other.rep)
-
-    def __sub__(self, other):
-        self._check(other)
-        return CycloNumber(self.modulus, self.rep - other.rep)
-
-    def __neg__(self):
-        return CycloNumber(self.modulus, -self.rep)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.modulus, self.rep * other)
-        self._check(other)
-        return CycloNumber(self.modulus, self.rep * other.rep)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        return str(self.rep).replace("x", "z")
-
-    __repr__ = __str__
-
-
-class FieldMatrix:
-    """Rectangular matrix over a single Q(zeta_N)."""
-
-    __slots__ = ("modulus", "entries")
-
-    def __init__(self, modulus: int, entries: list[list[CycloNumber]]):
-        widths = {len(row) for row in entries}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        for row in entries:
-            for e in row:
-                if e.modulus != modulus:
-                    raise ValueError("mixed cyclotomic moduli in matrix")
-        self.modulus = modulus
-        self.entries = entries
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def matrix_rank(m: FieldMatrix) -> int:
-    """Exact rank over Q(zeta_N) by division-free elimination.
-
-    Pivots are the first nonzero entry in column order; elimination uses
-    cross-multiplication only, which keeps every entry inside the ring.
+    Every entry is kept reduced mod Phi_order, which is monic with integer
+    coefficients, so the entries stay in Z[zeta].  Pivots are the first
+    nonzero entry in column order, and elimination cross-multiplies without
+    dividing.
     """
-    a = [row[:] for row in m.entries]
+    phi = cyclotomic_polynomial(order)
+    a = [[e % phi for e in row] for row in rows]
     rank = 0
-    row = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(row, m.rows) if not a[i][col].is_zero()),
-                     None)
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
-        a[row], a[pivot] = a[pivot], a[row]
-        p = a[row][col]
-        for i in range(row + 1, m.rows):
-            if not a[i][col].is_zero():
-                c = a[i][col]
-                a[i] = [p * x - c * y for x, y in zip(a[i], a[row])]
+        a[rank], a[pivot] = a[pivot], a[rank]
+        p = a[rank][col]
+        for i in range(rank + 1, len(a)):
+            c = a[i][col]
+            if c:
+                a[i] = [(p * x - c * y) % phi for x, y in zip(a[i], a[rank])]
         rank += 1
-        row += 1
-        if row == m.rows:
+        if rank == len(a):
             break
     return rank
 
 
-# --- bivariate polynomials and resultants ------------------------------------
-
-
-class BiPoly:
-    """Polynomial in y whose coefficients are UniPoly in x."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, UniPoly) else UniPoly(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree_y(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def derivative_y(self) -> "BiPoly":
-        return BiPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+# --- resultants ---------------------------------------------------------------
 
 
 def poly_det(m: list[list[UniPoly]]) -> UniPoly:
@@ -452,12 +348,15 @@ def poly_det(m: list[list[UniPoly]]) -> UniPoly:
     return det if sign > 0 else -det
 
 
-def sylvester_matrix(f: BiPoly, g: BiPoly) -> list[list[UniPoly]]:
-    n, m = f.degree_y, g.degree_y
+def sylvester_matrix(f: list[UniPoly], g: list[UniPoly]
+                     ) -> list[list[UniPoly]]:
+    """The Sylvester matrix of two polynomials in y, each given as its list
+    of coefficients in Z[x] or Q[x], low degree first."""
+    n, m = len(f) - 1, len(g) - 1
     size = n + m
     rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
+    fc = f[::-1]
+    gc = g[::-1]
     for i in range(m):
         rows.append([UniPoly()] * i + fc + [UniPoly()] * (size - i - len(fc)))
     for i in range(n):
@@ -465,20 +364,24 @@ def sylvester_matrix(f: BiPoly, g: BiPoly) -> list[list[UniPoly]]:
     return rows
 
 
-def resultant_y(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Resultant of f and g with respect to y, as a polynomial in x."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    if f.degree_y == 0:
-        return f.coeffs[0] ** g.degree_y
-    if g.degree_y == 0:
-        return g.coeffs[0] ** f.degree_y
+def resultant_y(f: list[UniPoly], g: list[UniPoly]) -> UniPoly:
+    """Resultant of f and g with respect to y, as a polynomial in x.
+
+    f and g are y-coefficient lists, low degree first, each ending in a
+    nonzero coefficient.
+    """
+    if not (f and f[-1] and g and g[-1]):
+        raise ValueError("resultant needs nonzero leading coefficients")
+    if len(f) == 1:
+        return f[0] ** (len(g) - 1)
+    if len(g) == 1:
+        return g[0] ** (len(f) - 1)
     return poly_det(sylvester_matrix(f, g))
 
 
-def discriminant_y(f: BiPoly) -> UniPoly:
+def discriminant_y(f: list[UniPoly]) -> UniPoly:
     """Res_y(f, df/dy); the classical discriminant up to a constant factor."""
-    return resultant_y(f, f.derivative_y())
+    return resultant_y(f, [i * c for i, c in enumerate(f)][1:])
 
 
 def _phi_at_most(max_degree: int) -> list[tuple[int, int]]:

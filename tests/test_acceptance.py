@@ -22,8 +22,7 @@ from meridian.charvar import (
     characteristic_variety,
     charvar_finite_torus,
     charvar_rank_one,
-    fox_derivative,
-    twisted_complex,
+    fox_matrix,
 )
 from meridian.cli import preset_text
 from meridian.cosets import (
@@ -42,7 +41,7 @@ from meridian.curves import (
     verify_parametrization,
     verify_pencil_identity,
 )
-from meridian.exactalg import CycloNumber
+from meridian.exactalg import UniPoly
 from meridian.fpgroups import parse_presentation, tietze_simplify
 from meridian.nilpotent import free_lie_ranks, lcs_quotients
 from meridian.orbifold import (
@@ -53,6 +52,7 @@ from meridian.orbifold import (
     orbifold_presentation,
 )
 from conftest import check_snf, random_presentation
+from reference_charvar import fundamental_formula
 
 
 def bw(*letters):
@@ -216,16 +216,10 @@ def test_acceptance_8_property_suites():
         pres = random_presentation(rng, max_rank=3, max_relators=3)
         group = abelianization(pres)
         modulus = group.exponent() or 6
+        matrix = fox_matrix(pres, group)
         for chi in characters_of_order_dividing(group, min(modulus, 12))[:4]:
-            cx = twisted_complex(pres, chi, group)
-            for i in range(len(pres.relators)):
-                total = CycloNumber.rational(chi.modulus, 0)
-                for j in range(pres.rank):
-                    total = total + cx.d2.entries[i][j] * cx.d1[j]
-                assert total.is_zero()
-        for rel in pres.relators:
-            for k in range(1, pres.rank + 1):
-                fox_derivative(rel, k, group)
+            assert fundamental_formula(matrix, group, chi) == \
+                [UniPoly()] * len(pres.relators)
 
     # Witt formula agreement for free groups
     for n in (1, 2, 3, 4):

@@ -1,9 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meridian.abelian import abelianization, characters_of_order_dividing
+from meridian.abelian import (
+    abelian_invariants,
+    abelianization,
+    characters_of_order_dividing,
+)
 from meridian.braids import (
     BraidError,
     BraidWord,
@@ -15,7 +20,7 @@ from meridian.braids import (
     sigma,
     zvk_presentation,
 )
-from meridian.charvar import twisted_h1_dim
+from meridian.charvar import charvar_finite_torus, charvar_rank_one, twisted_h1_dim
 from meridian.cli import preset_text
 from meridian.fpgroups import (
     ParseError,
@@ -33,6 +38,7 @@ from meridian.cosets import (
     regular_rep_and_center,
     todd_coxeter,
 )
+from meridian.nilpotent import lcs_quotients
 from conftest import random_word
 
 
@@ -364,14 +370,9 @@ def _finite_invariants(strands, words, reduction):
     return epis, (table.index, tuple(center), invariants)
 
 
-@settings(max_examples=60)
-@given(monodromies(max_strands=4), st.data())
-def test_finite_invariants_under_monodromy_moves(monodromy, data):
-    """Reordering the braids, inverting one and a Hurwitz move keep the
-    subgroup of B_n they generate, so the affine group and its generators
-    are the same: the epimorphism lists and the centers must be equal."""
-    strands, named = monodromy
-    words = [w for _, w in named]
+def _draw_monodromy_variants(words, data):
+    """The braid words, reordered, with one inverted and after a Hurwitz
+    move: each variant generates the same subgroup of B_n."""
     variants = [words, [words[i] for i in data.draw(
         st.permutations(range(len(words))))]]
     if words:
@@ -381,8 +382,66 @@ def test_finite_invariants_under_monodromy_moves(monodromy, data):
         i = data.draw(st.integers(0, len(words) - 2))
         b, c = words[i], words[i + 1]
         variants.append(words[:i] + [c, c.inverse() * b * c] + words[i + 2:])
+    return variants
+
+
+@settings(max_examples=60)
+@given(monodromies(max_strands=4), st.data())
+def test_finite_invariants_under_monodromy_moves(monodromy, data):
+    """Reordering the braids, inverting one and a Hurwitz move keep the
+    subgroup of B_n they generate, so the affine group and its generators
+    are the same: the epimorphism lists and the centers must be equal."""
+    strands, named = monodromy
+    variants = _draw_monodromy_variants([w for _, w in named], data)
     results = [_finite_invariants(strands, v, reduction)
                for v in variants for reduction in ("none", "block")]
     assert all(epis == results[0][0] for epis, _ in results)
     centers = {center for _, center in results if center is not None}
     assert len(centers) <= 1
+
+
+def _group_invariants(pres):
+    """Abelian invariants, class-3 LCS quotients and, for abelianization Z,
+    the rank-one strata: each depends on the group alone."""
+    ab = abelian_invariants(pres)
+    strata = None
+    if (ab.rank, ab.torsion) == (1, ()):
+        strata = [s.describe() for s in charvar_rank_one(pres).strata]
+    return ab, lcs_quotients(pres, 3), strata
+
+
+def _torus_depths(pres):
+    """The multiset of (order, depth) over the characters of a finite
+    abelianization, which no choice of coordinates changes."""
+    return Counter((chi.order(), depth)
+                   for chi, depth in charvar_finite_torus(pres).depths)
+
+
+@settings(max_examples=80)
+@given(monodromies(max_strands=4), st.data())
+def test_group_invariants_under_monodromy_moves(monodromy, data):
+    """Every variant's group, conjugated variant included, by either
+    reduction, raw or Tietze-simplified, is one group up to isomorphism; an
+    isomorphism of ZvK groups sends each
+    generator to a conjugate of a generator, so the quotients by every
+    g_i^2 are isomorphic too."""
+    strands, named = monodromy
+    variants = _draw_monodromy_variants([w for _, w in named], data)
+    letters = [x for x in range(1 - strands, strands) if x]
+    if letters:
+        # a change of base point: every braid conjugated by one braid c
+        c = BraidWord(strands, tuple(data.draw(
+            st.lists(st.sampled_from(letters), min_size=1, max_size=4))))
+        variants.append([c.inverse() * w * c for w in variants[0]])
+    invariants, depths = [], []
+    for words in variants:
+        named = [(f"b{i}", w) for i, w in enumerate(words)]
+        for reduction in ("none", "block"):
+            raw = zvk_presentation(strands, named, reduction)
+            squares = raw.with_relators((g, g) for g in range(1, strands + 1))
+            for pres in (raw, tietze_simplify(raw).presentation):
+                invariants.append(_group_invariants(pres))
+            for pres in (squares, tietze_simplify(squares).presentation):
+                depths.append(_torus_depths(pres))
+    assert all(x == invariants[0] for x in invariants)
+    assert all(x == depths[0] for x in depths)

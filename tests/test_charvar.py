@@ -1,4 +1,6 @@
+import hashlib
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,17 +16,18 @@ from meridian.charvar import (
     charvar_rank_one,
     fox_derivative,
     fox_matrix,
-    twisted_complex,
     twisted_h1_dim,
 )
-from meridian.exactalg import CycloNumber, poly_det
+from meridian.exactalg import UniPoly, poly_det
 from meridian.fpgroups import (
     Presentation,
     parse_presentation,
     reduce_word,
     tietze_simplify,
 )
+from meridian.orbifold import orbifold_presentation, parse_signature
 from conftest import random_presentation, random_word
+import reference_charvar
 
 
 class TestFoxDerivative:
@@ -90,20 +93,21 @@ class TestFoxDerivative:
 
 class TestTwistedComplex:
     def test_chain_condition_random(self):
+        # d1 d2 = 0: Fox's fundamental formula at each character
         rng = random.Random(32)
+        checked = 0
         for _ in range(40):
             pres = random_presentation(rng, max_rank=3, max_relators=3)
             group = abelianization(pres)
             n = group.exponent() or 6
             n = min(n, 12) if n else 6
+            matrix = fox_matrix(pres, group)
             for chi in characters_of_order_dividing(group, n)[:6]:
-                cx = twisted_complex(pres, chi, group)
-                matrix = fox_matrix(pres, group)
-                for i, rel in enumerate(pres.relators):
-                    total = CycloNumber.rational(chi.modulus, 0)
-                    for j in range(pres.rank):
-                        total = total + cx.d2.entries[i][j] * cx.d1[j]
-                    assert total.is_zero()
+                residues = reference_charvar.fundamental_formula(
+                    matrix, group, chi)
+                assert residues == [UniPoly()] * len(pres.relators)
+                checked += chi.order() > 1 and bool(pres.relators)
+        assert checked >= 20
 
     def test_trivial_character_gives_betti_number(self, presets):
         aff = presets["degtyarev-affine"]
@@ -178,7 +182,7 @@ class TestFiniteTorus:
 
     def test_depths_match_twisted_complex_per_character(self, presets):
         # the variety evaluates one Fox matrix at every character, while
-        # twisted_complex builds its own each time
+        # twisted_h1_dim abelianizes and builds its own each time
         rng = random.Random(7)
         cases = [presets[name] for name in (
             "degtyarev-projective", "p1-2-5-10", "p1-2-2-5-5", "c-2-3")]
@@ -189,7 +193,7 @@ class TestFiniteTorus:
             if group.rank or group.exponent() > 12:
                 continue
             v = charvar_finite_torus(pres, group)
-            assert v.depths == [(xi, twisted_complex(pres, xi, group).h1_dim())
+            assert v.depths == [(xi, twisted_h1_dim(pres, xi))
                                 for xi, _ in v.depths]
             checked += 1
         assert checked >= 10
@@ -212,6 +216,83 @@ class TestFiniteTorus:
 
 def set_of(chars):
     return {c.exponents for c in chars}
+
+
+ORBIFOLDS = ("3,3,6", "2,4,8", "2,2,2,2", "2,3,7", "6,6,6", "2,6,6", "4,4,4",
+             "2,5,10", "3,6,6,6", "12,12")
+
+
+def seeded_finite_presentations():
+    """300 random presentations with a power g_i^k, k in 2..6, of every
+    generator, so that each abelianization is finite."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        pres = random_presentation(rng, 3, 3)
+        yield seed, pres.with_relators(
+            (i,) * rng.randint(2, 6) for i in range(1, pres.rank + 1))
+
+
+@st.composite
+def finite_presentations(draw):
+    rank = draw(st.integers(1, 3))
+    letter = st.sampled_from([x for x in range(-rank, rank + 1) if x])
+    words = st.lists(letter, max_size=8).map(reduce_word)
+    relators = draw(st.lists(words, max_size=3))
+    powers = [(i,) * draw(st.integers(2, 6)) for i in range(1, rank + 1)]
+    return Presentation(tuple(f"g{i}" for i in range(1, rank + 1)),
+                        tuple(relators + powers))
+
+
+def assert_depths_match_oracle(pres):
+    group = abelianization(pres)
+    v = charvar_finite_torus(pres, group)
+    assert v.depths == [(xi, reference_charvar.depth(pres, group, xi))
+                        for xi, _ in v.depths]
+
+
+class TestDepthOracle:
+    """Depths against ranks of realified matrices over Q(zeta_N), N the
+    modulus of each character (tests/reference_charvar.py)."""
+
+    @pytest.mark.parametrize("name", [
+        "degtyarev-projective", "p1-2-5-10", "p1-2-2-5-5", "c-2-3"])
+    def test_presets(self, presets, name):
+        assert_depths_match_oracle(presets[name])
+
+    @pytest.mark.parametrize("mults", ORBIFOLDS)
+    def test_orbifolds(self, mults):
+        assert_depths_match_oracle(
+            orbifold_presentation(parse_signature(f"g=0 k=0 m={mults}")))
+
+    @settings(max_examples=100)
+    @given(finite_presentations())
+    def test_random_finite_presentations(self, pres):
+        assert_depths_match_oracle(pres)
+
+    def test_seeded_depths_pinned(self):
+        """SHA-256 of one line "seed exponents depth" per character of the
+        300 seeded presentations, recorded from the Q(zeta_N) route that
+        evaluated every character at the exponent N of the torus."""
+        text = "".join(f"{seed} {chi.exponents} {depth}\n"
+                       for seed, pres in seeded_finite_presentations()
+                       for chi, depth in charvar_finite_torus(pres).depths)
+        assert len(text.splitlines()) == 3172
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "744469a76d794ddf8269433cdedc9d6a5a7008c59867e651d032d7fc34610a84")
+
+
+@settings(max_examples=100)
+@given(finite_presentations())
+def test_galois_conjugates_have_equal_depth(pres):
+    # xi and xi^k are conjugate under Gal(Q(zeta_d)/Q) when gcd(k, d) = 1
+    v = charvar_finite_torus(pres)
+    depth = {chi.exponents: dep for chi, dep in v.depths}
+    for chi, dep in v.depths:
+        d = chi.order()
+        for k in range(2, d):
+            if gcd(k, d) == 1:
+                conjugate = tuple(e * k % chi.modulus for e in chi.exponents)
+                assert depth[conjugate] == dep
 
 
 class TestCharacteristicVariety:

@@ -461,6 +461,42 @@ class TestRankOneCharvar:
         assert set(json.loads(outputs[0][1].stdout)["strata"]) == {"1", "2"}
 
 
+class TestFiniteTorusListing:
+    """'mu<d>-primitive' stands for every character of order d of the torus.
+    A non-cyclic torus has more than phi(d) of them, so a stratum that holds
+    phi(d) of them lists those one by one."""
+
+    @pytest.mark.parametrize("source,torus,modulus,v1,exponents", [
+        (("--orbifold", "g=0 k=0 m=3,3,6"), "Z/3 x Z/3", 3,
+         "{(1, 1), (2, 2)}", [[1, 1], [2, 2]]),
+        (("--orbifold", "g=0 k=0 m=2,4,8"), "Z/2 x Z/4", 4,
+         "{(2, 1), (2, 3)}", [[2, 1], [2, 3]]),
+        ("gens x y; rel x^2; rel y^2;", "Z/2 x Z/2", 2, "{(1, 1)}", [[1, 1]]),
+    ])
+    def test_part_of_an_order_is_listed(self, tmp_path, capsys, source,
+                                        torus, modulus, v1, exponents):
+        if isinstance(source, str):
+            path = tmp_path / "g.grp"
+            path.write_text(source + "\n")
+            source = (str(path),)
+        assert cli.main(["charvar", *source]) == 0
+        assert capsys.readouterr().out == (
+            f"character torus: {torus} (all characters of order dividing"
+            f" {modulus})\nV1 = {v1}\nV2 = {{}}\n")
+        assert cli.main(["--json", "charvar", *source]) == 0
+        strata = json.loads(capsys.readouterr().out)["strata"]
+        assert strata == {"1": exponents, "2": []}
+
+    def test_every_character_of_an_order(self, capsys):
+        # the eight characters of order 12 of Z/2 x Z/12 all lie in V1, and
+        # two of the four of order 4
+        assert cli.main(["charvar", "--orbifold", "g=0 k=0 m=4,6,12"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "V1 = mu12-primitive u"
+            " {(0, 3), (0, 9), (0, 2), (0, 10), (6, 4), (6, 8)}",
+            "V2 = {}"]
+
+
 def torus_knot_orders(p, q):
     """N with mu_N-primitive roots in V1 of the torus knot T(p, q), p and q
     coprime: the roots of its Alexander polynomial

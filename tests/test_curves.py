@@ -208,7 +208,7 @@ class TestDiscriminant:
             for p in polys:
                 assert coefficient_types(p) == {int}, name
         fiber = quintic_fiber_polynomial(presets)
-        for c in fiber.coeffs:
+        for c in fiber:
             assert c.coeffs and all(type(k) is int for k in c.coeffs)
         report = degtyarev_discriminant(presets)
         assert all(type(k) is int for k in report.discriminant.coeffs)
@@ -216,8 +216,8 @@ class TestDiscriminant:
 
     def test_fiber_polynomial_is_cubic(self):
         f = quintic_fiber_polynomial(curve_presets())
-        assert f.degree_y == 3
-        assert f.coeffs[3] == UniPoly([1])
+        assert len(f) - 1 == 3
+        assert f[3] == UniPoly([1])
 
     def test_quadratic_roots_bracketed(self):
         # the two singular fiber abscissas are the roots of x^2 - 11x - 1

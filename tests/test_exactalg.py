@@ -5,9 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meridian.exactalg import (
-    BiPoly,
-    CycloNumber,
-    FieldMatrix,
     UniPoly,
     cyclotomic_factors,
     cyclotomic_polynomial,
@@ -18,14 +15,7 @@ from meridian.exactalg import (
     poly_gcd,
     resultant_y,
 )
-
-
-def zeta(n, k=1):
-    return CycloNumber.zeta(n, k)
-
-
-def rat(n, v):
-    return CycloNumber.rational(n, v)
+from reference_charvar import realified_rank
 
 
 class TestCyclotomic:
@@ -54,93 +44,105 @@ class TestCyclotomic:
             assert phi.degree == euler_phi(n)
 
 
-class TestCycloArithmetic:
-    def test_invert_zeta_ten(self):
-        # zeta^5 = -1, so 1/zeta = -zeta^4
-        inv = CycloNumber(10, UniPoly([0, 0, 0, 0, -1]))
-        assert inv * zeta(10) == rat(10, 1)
-        assert zeta(10, 5) == rat(10, -1)
-
-
-def geometric_sum(z: CycloNumber, terms: int) -> CycloNumber:
-    out = rat(z.modulus, 0)
-    p = rat(z.modulus, 1)
-    for _ in range(terms):
-        out = out + p
-        p = p * z
+def geometric_sum(z: UniPoly, terms: int) -> UniPoly:
+    out = UniPoly()
+    for i in range(terms):
+        out = out + z ** i
     return out
 
 
-def partial2_matrix_2510(z: CycloNumber) -> FieldMatrix:
+ZETA = UniPoly([0, 1])
+
+
+def partial2_matrix_2510(z: UniPoly) -> list[list[UniPoly]]:
     """Second differential of the (2,5,10) orbifold complex at xi(x) = z^5,
     xi(y) = z^2, straight from the Fox rules:
 
         d(x^2)/dx = 1 + z^5,  d(y^5)/dy = 1 + z^2 + ... + z^8,
         d((xy)^10)/dx = 1 + z^7 + ... ,  d((xy)^10)/dy = z^5 (same sum).
     """
-    n = z.modulus
-    z2 = z * z
-    z5 = z2 * z2 * z
-    z7 = z5 * z2
-    row1 = [z5 + rat(n, 1), rat(n, 0), geometric_sum(z7, 10)]
-    row2 = [rat(n, 0), geometric_sum(z2, 5), z5 * geometric_sum(z7, 10)]
-    return FieldMatrix(n, [row1, row2])
+    z5, z7 = z ** 5, z ** 7
+    row1 = [z5 + UniPoly([1]), UniPoly(), geometric_sum(z7, 10)]
+    row2 = [UniPoly(), geometric_sum(z ** 2, 5), z5 * geometric_sum(z7, 10)]
+    return [row1, row2]
 
 
 class TestMatrixRank:
     def test_identity(self):
-        m = FieldMatrix(10, [[rat(10, int(i == j)) for j in range(3)]
-                             for i in range(3)])
-        assert matrix_rank(m) == 3
+        m = [[UniPoly([int(i == j)]) for j in range(3)] for i in range(3)]
+        assert matrix_rank(m, 10) == 3
 
     def test_orbifold_matrix_vanishes_at_primitive_tenth_root(self):
-        assert matrix_rank(partial2_matrix_2510(zeta(10))) == 0
+        assert matrix_rank(partial2_matrix_2510(ZETA), 10) == 0
 
     def test_orbifold_matrix_at_minus_one(self):
         # at z = -1 the middle entry becomes 1 + 1 + 1 + 1 + 1 = 5, nonzero
-        m = partial2_matrix_2510(rat(10, -1))
-        assert m.entries[1][1] == rat(10, 5)
-        assert matrix_rank(m) >= 1
+        m = partial2_matrix_2510(UniPoly([-1]))
+        assert m[1][1] == UniPoly([5])
+        assert matrix_rank(m, 10) >= 1
+        assert matrix_rank(partial2_matrix_2510(ZETA), 2) >= 1
 
     def test_rank_invariance(self):
         rng = random.Random(13)
         for _ in range(30):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-            m = [[CycloNumber(5, UniPoly([rng.randint(-2, 2)
-                                          for _ in range(4)]))
+            m = [[UniPoly([rng.randint(-2, 2) for _ in range(4)])
                   for _ in range(cols)] for _ in range(rows)]
-            base = matrix_rank(FieldMatrix(5, m))
+            base = matrix_rank(m, 5)
             transpose = [[m[i][j] for i in range(rows)] for j in range(cols)]
-            assert matrix_rank(FieldMatrix(5, transpose)) == base
+            assert matrix_rank(transpose, 5) == base
             perm = m[:]
             rng.shuffle(perm)
-            assert matrix_rank(FieldMatrix(5, perm)) == base
+            assert matrix_rank(perm, 5) == base
+
+    def test_entries_are_read_mod_phi(self):
+        # 1 + zeta + ... + zeta^4 = 0 in Q(zeta_5), and zeta^5 = 1
+        assert matrix_rank([[geometric_sum(ZETA, 5)]], 5) == 0
+        assert matrix_rank([[ZETA ** 5 - UniPoly([1])]], 5) == 0
+        assert matrix_rank([[ZETA - UniPoly([1])]], 1) == 0
+        assert matrix_rank([], 3) == matrix_rank([[]], 3) == 0
 
 
-def bipoly(rows):
-    return BiPoly([UniPoly(r) for r in rows])
+@st.composite
+def cyclotomic_matrices(draw):
+    order = draw(st.integers(1, 12))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.lists(st.integers(-2, 2), max_size=order + 2).map(UniPoly)
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        # a row that is a Z[zeta]-combination of two others
+        a, b = draw(entry), draw(entry)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[rows // 2])]
+    return m, order
+
+
+@settings(max_examples=400)
+@given(cyclotomic_matrices())
+def test_rank_against_realified_rank(case):
+    m, order = case
+    assert matrix_rank(m, order) == realified_rank(m, order)
 
 
 class TestResultant:
     def test_parabola(self):
-        f = BiPoly([UniPoly([0, -1]), UniPoly(), UniPoly([1])])   # y^2 - x
-        g = BiPoly([UniPoly(), UniPoly([2])])                     # 2y
+        f = [UniPoly([0, -1]), UniPoly(), UniPoly([1])]   # y^2 - x
+        g = [UniPoly(), UniPoly([2])]                     # 2y
         assert resultant_y(f, g) == UniPoly([0, -4])
 
     def test_circle_tangent(self):
-        f = BiPoly([UniPoly([1]), UniPoly(), UniPoly([1])])    # y^2 + 1
-        g = BiPoly([UniPoly(), UniPoly([2])])                  # 2y
+        f = [UniPoly([1]), UniPoly(), UniPoly([1])]    # y^2 + 1
+        g = [UniPoly(), UniPoly([2])]                  # 2y
         assert resultant_y(f, g) == UniPoly([4])
 
     def test_swap_sign(self):
         rng = random.Random(14)
         for _ in range(25):
-            f = BiPoly([UniPoly([rng.randint(-3, 3) for _ in range(3)])
-                        for _ in range(rng.randint(1, 3))] + [UniPoly([1])])
-            g = BiPoly([UniPoly([rng.randint(-3, 3) for _ in range(3)])
-                        for _ in range(rng.randint(1, 3))] + [UniPoly([1])])
+            f = [UniPoly([rng.randint(-3, 3) for _ in range(3)])
+                 for _ in range(rng.randint(1, 3))] + [UniPoly([1])]
+            g = [UniPoly([rng.randint(-3, 3) for _ in range(3)])
+                 for _ in range(rng.randint(1, 3))] + [UniPoly([1])]
             lhs = resultant_y(f, g)
-            sign = (-1) ** (f.degree_y * g.degree_y)
+            sign = (-1) ** ((len(f) - 1) * (len(g) - 1))
             assert lhs == sign * resultant_y(g, f)
 
     def test_multiplicative(self):
@@ -149,22 +151,28 @@ class TestResultant:
             def rand_poly(deg):
                 rows = [UniPoly([rng.randint(-2, 2), rng.randint(-2, 2)])
                         for _ in range(deg)]
-                return BiPoly(rows + [UniPoly([1])])
+                return rows + [UniPoly([1])]
             f, g, h = rand_poly(2), rand_poly(1), rand_poly(2)
-            gh_coeffs = _bipoly_mul(g, h)
+            gh_coeffs = _y_mul(g, h)
             assert resultant_y(f, gh_coeffs) == resultant_y(f, g) * resultant_y(f, h)
 
     def test_discriminant_of_smooth_parabola(self):
-        f = BiPoly([UniPoly([0, -1]), UniPoly(), UniPoly([1])])   # y^2 - x
+        f = [UniPoly([0, -1]), UniPoly(), UniPoly([1])]   # y^2 - x
         assert discriminant_y(f) == UniPoly([0, -4])
 
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            resultant_y([UniPoly([1]), UniPoly()], [UniPoly([1])])
+        with pytest.raises(ValueError):
+            discriminant_y([UniPoly([1])])
 
-def _bipoly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    out = [UniPoly() for _ in range(a.degree_y + b.degree_y + 1)]
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
+
+def _y_mul(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
+    out = [UniPoly() for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
-    return BiPoly(out)
+    return out
 
 
 class TestPolyUtilities:
